@@ -2,7 +2,7 @@
 
 Subcommands:
   formula  closed-form values only, one row per (group, parameter)
-  verify   formula vs brute force vs witness status, exit 0 iff all agree
+  verify   formula vs exact oracle vs witness status, exit 0 iff all agree
   witness  a single extremal-set certificate as JSON
   bound    the best coset lower-bound certificate as JSON
   sumfree  closed-form maximum sum-free size vs backtracking search
@@ -377,6 +377,8 @@ def cmd_formula(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     quantity = args.quantity
     groups = _gather_groups(args, quantity, "verify")
     params = _resolve_params(args, quantity)

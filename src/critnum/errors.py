@@ -62,6 +62,10 @@ class BudgetExceeded(CritnumError):
     """A brute-force computation was refused because the group is too big."""
 
 
+class InvalidWorkers(CritnumError):
+    """A worker count for the oracle's process pool is below 1."""
+
+
 class ConstructionInvariantViolated(CritnumError):
     """A built witness failed its own verification; nothing is returned."""
 

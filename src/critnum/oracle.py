@@ -1,26 +1,31 @@
-"""Brute-force ground truth by exhaustive subset enumeration.
+"""Exact oracle: a branch-and-bound search and the literal subset scan.
 
-Everything here is definition-literal on purpose: no closed-form shortcuts,
-so the oracle shares no logic (and no bugs) with the formula suite.  The
-critical-number searches enumerate subset sizes in descending order and
-stop at the first size that contains a qualifying incomplete set; sizes
-are never skipped, which keeps the scan valid for the generating-restricted
-variants where incompleteness alone is not downward-closed.
+Every critical number is 1 plus the size of the largest qualifying set
+(for the generating-restricted kinds, the largest generating set) whose
+expansion misses some element g.  `search_critical_witness` fixes g and
+runs a depth-first search over the candidate elements; `brute_critical`
+returns its value.  The search shares no logic with the closed forms.
 
-Work at a fixed size can be split across processes by partitioning the
-combination sequence into contiguous rank ranges.  Chunk results are
-consumed in rank order, so values and witnesses do not depend on the
-worker count.
+`brute_critical_witness` is the definition-literal scan and the ground
+truth the search is tested against.  It enumerates subset sizes in
+descending order and stops at the first size that contains a qualifying
+incomplete set; sizes are never skipped, which keeps the scan valid for
+the generating-restricted variants where incompleteness alone is not
+downward-closed.  Work at a fixed size can be split across processes by
+partitioning the combination sequence into contiguous rank ranges.
+Chunk results are consumed in rank order, so values and witnesses do not
+depend on the worker count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .errors import BudgetExceeded, InvalidOrder
+from .errors import BudgetExceeded, ConstructionInvariantViolated, InvalidOrder, InvalidWorkers
 from .formulas import CriticalKind
 from .groups import GroupType, factorize
 from .quotients import closure_bits
@@ -68,6 +73,17 @@ def _check_budget(n: int, budget: int | None, default: int) -> None:
         )
 
 
+def pool_size(workers: int) -> int:
+    """Processes for the literal scan's pool: at least 1, at most the CPU count.
+
+    Raises InvalidWorkers for a count below 1; a larger count than the
+    machine has CPUs is clamped, so no request starts more processes.
+    """
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+        raise InvalidWorkers(f"worker count must be an integer >= 1, got {workers!r}")
+    return min(workers, os.cpu_count() or 1)
+
+
 def _scan_chunk(args: tuple) -> int | None:
     """Scan one contiguous range of size-k combinations; first hit wins.
 
@@ -105,9 +121,13 @@ def brute_critical_witness(
     Returns (1 + max incomplete qualifying size, witness); when no subset
     qualifies at all the value is 1 and the witness is None (or the empty
     set for the subset-sum kinds, where the empty set itself qualifies).
+
+    This is the literal scan over all subsets.  With workers > 1 (clamped
+    to the CPU count) the larger sizes are split over a process pool.
     """
     group = query.group
     n = group.order
+    workers = pool_size(workers)
     _check_budget(n, budget, DEFAULT_QUERY_BUDGET)
     mode = query.kind.mode
     param = query.kind.param
@@ -121,6 +141,8 @@ def brute_critical_witness(
             found = None
             if workers > 1 and total >= _PARALLEL_MIN_CANDIDATES:
                 if executor is None:
+                    from concurrent.futures import ProcessPoolExecutor
+
                     executor = ProcessPoolExecutor(max_workers=workers)
                 chunks = workers * 4
                 bounds = [total * i // chunks for i in range(chunks + 1)]
@@ -143,41 +165,184 @@ def brute_critical_witness(
     return 1, None
 
 
-def brute_critical(query: OracleQuery, *, budget: int | None = None, workers: int = 1) -> int:
-    value, _ = brute_critical_witness(query, budget=budget, workers=workers)
-    return value
+@lru_cache(maxsize=None)
+def _multiples(factors: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """Flat index of k*x for every flat index x."""
+    group = GroupType(factors)
+    return tuple(_scalar_index(group, k, i) for i in range(group.order))
 
 
-def brute_critical_zero_anchored(query: OracleQuery, *, budget: int | None = None) -> int:
-    """Same value, scanning only subsets that contain zero.
+@lru_cache(maxsize=None)
+def _anchor_representatives(factors: tuple[int, ...], fold: int) -> tuple[int, ...]:
+    """The least index of every orbit of g -> u*g + fold*t.
 
-    Valid for the unrestricted h-fold and interval kinds: translating any
-    incomplete set by the negation of one of its members preserves size
-    and incompleteness, so the maximum is attained on zero-anchored sets.
-    Used as an independent consistency check on the main scan.
+    u runs over the integers coprime to the exponent, so g -> u*g is an
+    automorphism; t runs over the group.  fold = 0 leaves the automorphisms
+    alone.  Both maps preserve what the search asks of an anchor: if A misses
+    g in its expansion then u*A misses u*g, and for the h-fold sumset over the
+    whole group A + t misses g + h*t.
     """
-    if query.restrict_generating or query.exclude_zero or query.kind.mode == "sums":
-        raise ValueError("zero-anchored reduction applies only to the unrestricted sumset kinds")
+    group = GroupType(factors)
+    layout = layout_for(group)
+    exponent = group.exponent
+    shifts = 0
+    for i in _multiples(factors, fold):
+        shifts |= 1 << i
+    units = [_multiples(factors, u) for u in range(1, exponent) if math.gcd(u, exponent) == 1]
+    seen = 0
+    reps = []
+    for g in range(group.order):
+        if seen >> g & 1:
+            continue
+        reps.append(g)
+        for times_u in units:
+            seen |= translate_bits(layout, shifts, times_u[g])
+    return tuple(reps)
+
+
+def _expansion(layout, kind: CriticalKind, bits: int) -> int:
+    """Mask of the expansion a kind measures: hA, [0,s]A or Sum(A)."""
+    if kind.mode == "hfold":
+        return hfold_bits(layout, bits, kind.param)
+    if kind.mode == "interval":
+        return interval_bits(layout, bits, kind.param)
+    return subset_sums_bits(layout, bits)
+
+
+@lru_cache(maxsize=None)
+def _singleton_hits(factors: tuple[int, ...], kind: CriticalKind) -> tuple[int, ...]:
+    """Per element g, the mask of the elements y whose {y} expands onto g."""
+    layout = layout_for(GroupType(factors))
+    hits = [0] * layout.order
+    for y in range(layout.order):
+        covered = _expansion(layout, kind, 1 << y)
+        while covered:
+            low = covered & -covered
+            covered ^= low
+            hits[low.bit_length() - 1] |= 1 << y
+    return tuple(hits)
+
+
+def search_critical_witness(
+    query: OracleQuery, *, budget: int | None = None
+) -> tuple[int, GroupSubset | None]:
+    """The critical value and a largest qualifying incomplete set, by search.
+
+    Same value and conventions as `brute_critical_witness` (value 1 and no
+    witness when no set qualifies; the empty set is a witness for the
+    subset-sum kinds), but the witness may be a different extremal set.
+
+    For each anchor g, one per orbit of `_anchor_representatives`, a
+    depth-first search adds pool elements in index order and keeps the
+    layers D[k] = g - [0,k]A (interval kinds) or g - kA (h-fold kinds) for
+    k < param, where the new set's layers are D'[0] = {g} and
+    D'[k] = D[k] | (D'[k-1] - x).  The expansion of A + {y} reaches g exactly
+    when j*y lies in D[param - j] for some 1 <= j <= param, so the remaining
+    candidates are filtered against the layers once per node; a filtered
+    candidate never returns, because the layers only grow.  For subset
+    sums the single layer is D = g - Sum(A) with D' = D | (D - x).  A branch
+    is cut when its size plus its candidates cannot beat the best size
+    found for any anchor so far.  Generation is tested only for a set that
+    would become the new best.  The result is re-checked with the sumset
+    kernels before it is returned.
+    """
     group = query.group
+    factors = group.factors
     n = group.order
     _check_budget(n, budget, DEFAULT_QUERY_BUDGET)
     layout = layout_for(group)
     full = layout.full
+    neg = layout.neg_index
     mode = query.kind.mode
     param = query.kind.param
-    rest = tuple(range(1, n))
-    for k in range(n, 0, -1):
-        for combo in itertools.combinations(rest, k - 1):
-            bits = 1
-            for i in combo:
-                bits |= 1 << i
-            if mode == "hfold":
-                sums = hfold_bits(layout, bits, param)
+    restrict = query.restrict_generating
+    pool = full ^ 1 if query.exclude_zero else full
+    whole_group_hfold = mode == "hfold" and not restrict and not query.exclude_zero
+    anchors = _anchor_representatives(factors, param if whole_group_hfold else 0)
+    if mode != "hfold":
+        anchors = anchors[1:]  # drop 0, which lies in every [0,s]A and Sum(A)
+    alone = _singleton_hits(factors, query.kind)
+    # Candidate y is dropped when j*y lands in layer param - j: j = 1 is a
+    # mask operation, j = param meets the constant layer {g} and is settled
+    # at the root by `alone`, the others are checked element by element.
+    middle = [(param - j, _multiples(factors, j)) for j in range(2, param)] if param else []
+
+    best = 0 if mode == "sums" and not restrict else -1
+    best_bits = 0
+
+    def descend(bits: int, size: int, cand: int, layers: list[int]) -> None:
+        nonlocal best, best_bits
+        while cand:
+            if size + cand.bit_count() <= best:
+                return
+            low = cand & -cand
+            cand ^= low
+            minus_x = neg[low.bit_length() - 1]
+            grown = bits | low
+            if mode == "sums":
+                layer = layers[0]
+                layer |= translate_bits(layout, layer, minus_x)
+                new_layers = [layer]
+                new_cand = cand & ~layer
             else:
-                sums = interval_bits(layout, bits, param)
-            if sums != full:
-                return k + 1
-    return 1
+                new_layers = [layers[0]]
+                prev = layers[0]
+                for k in range(1, param):
+                    prev = layers[k] | translate_bits(layout, prev, minus_x)
+                    new_layers.append(prev)
+                new_cand = cand & ~prev
+                for level, times_j in middle:
+                    mask = new_layers[level]
+                    c = new_cand
+                    while c:
+                        y = c & -c
+                        c ^= y
+                        if mask >> times_j[y.bit_length() - 1] & 1:
+                            new_cand ^= y
+            if size + 1 > best and (not restrict or closure_bits(layout, grown) == full):
+                best, best_bits = size + 1, grown
+            descend(grown, size + 1, new_cand, new_layers)
+
+    for g in anchors:
+        anchor = 1 << g
+        if mode == "sums":
+            layers = [anchor]
+        else:
+            # g - [0,k]{} = {g} for every k; g - k{} is empty for k >= 1
+            layers = [anchor] + [anchor if mode == "interval" else 0] * (param - 1)
+        descend(0, 0, pool & ~alone[g], layers)
+
+    if best < 0:
+        return 1, None
+    _recheck_witness(query, layout, best_bits)
+    return best + 1, GroupSubset(group, best_bits)
+
+
+def _recheck_witness(query: OracleQuery, layout, bits: int) -> None:
+    """Fail closed: the search's witness must qualify by the kernels' verdict."""
+    problems = []
+    if _expansion(layout, query.kind, bits) == layout.full:
+        problems.append("its expansion covers the group")
+    if query.restrict_generating and closure_bits(layout, bits) != layout.full:
+        problems.append("it does not generate")
+    if query.exclude_zero and bits & 1:
+        problems.append("it contains zero")
+    if problems:
+        raise ConstructionInvariantViolated(
+            f"search witness {bits:#x} for {query.kind.tag} on {query.group}: " + ", ".join(problems)
+        )
+
+
+def brute_critical(query: OracleQuery, *, budget: int | None = None, workers: int = 1) -> int:
+    """The critical value, computed by `search_critical_witness`.
+
+    The search runs in the calling process.  `workers` is validated as for
+    `brute_critical_witness` but only sizes that scan's process pool; it
+    does not change this function's work.
+    """
+    pool_size(workers)
+    value, _ = search_critical_witness(query, budget=budget)
+    return value
 
 
 def brute_cr(group: GroupType, *, budget: int | None = None, workers: int = 1) -> int:

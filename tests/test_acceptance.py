@@ -1,5 +1,9 @@
 """Acceptance gate: oracle equivalence and certificate checks at desk scale.
 
+A1-A10 hold at orders the literal scan also covers (tests/test_oracle.py
+checks the search against the scan on those grids); A12 checks the search
+alone against the closed forms at orders 17-24.
+
 Each criterion prints and records exactly one PASS/FAIL line (echoed in the
 terminal summary by conftest).  Exact equality throughout; no tolerances.
 No deviation is expected: where every generating subset is already complete
@@ -31,12 +35,14 @@ from critnum import (
     generating_interval_critical_s3,
     generating_interval_critical_two_group,
     hfold_sumset,
+    interval_critical_number,
     hfold_witness,
     interval3_piecewise_value,
     interval_sumset,
     max_incomplete_size,
     max_sumfree_size,
     pairwise_sumset,
+    search_critical_witness,
     subset_sum_critical_pair,
     subset_sums,
 )
@@ -311,3 +317,36 @@ def test_a11_property_suite():
     if elapsed >= 60.0:
         failures.append(f"property suite took {elapsed:.1f}s, budget is one minute")
     _finish("A11", f"sumset property suite, {checks} checks in {elapsed:.1f}s", failures)
+
+
+def test_a12_search_matches_closed_forms_past_the_scan():
+    # Orders 17-24 are past the literal scan's default budget; the search
+    # itself is checked against that scan in tests/test_oracle.py.
+    start = time.monotonic()
+    failures = []
+    cases = 0
+
+    def check(group, tag, param, want):
+        nonlocal cases
+        q = OracleQuery(group, CriticalKind(tag, param))
+        got = search_critical_witness(q, budget=24)[0]
+        cases += 1
+        if got != want:
+            failures.append(f"{tag}({group}, {param}): search {got} vs formula {want}")
+
+    for n in range(17, 25):
+        for g in abelian_types(n):
+            for h in (2, 3, 4):
+                check(g, "chi_h", h, critical_number(n, h))
+            for s in (1, 2):
+                check(g, "chi_interval", s, interval_critical_number(n, s))
+            if not g.is_elementary_two:
+                check(g, "chi_hat_interval", 3, generating_interval_critical_s3(g))
+            if g.is_cyclic:
+                for s in (2, 4):
+                    check(g, "chi_hat_interval", s, generating_interval_critical_cyclic(n, s))
+            star, whole = subset_sum_critical_pair(g)
+            check(g, "cr_star", None, star)
+            check(g, "cr", None, whole)
+    elapsed = time.monotonic() - start
+    _finish("A12", f"search vs closed forms at orders 17-24 on {cases} cases in {elapsed:.1f}s", failures)

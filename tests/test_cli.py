@@ -163,6 +163,17 @@ def test_verify_workers_flag(capsys):
     assert line.split(",")[4] == line.split(",")[5] == "9"
 
 
+def test_verify_rejects_nonpositive_workers(capsys):
+    for command in ("verify", "sumfree"):
+        argv = [command, "--group", "6", "--workers", "0"]
+        if command == "verify":
+            argv += ["--quantity", "chi_h", "--h", "2"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "usage error: --workers must be at least 1" in err
+
+
 def test_budget_refusal_and_ack(capsys):
     code, out, err = run(capsys, "verify", "--quantity", "chi_h", "--orders", "17..18", "--h", "1")
     assert code == 2

@@ -1,17 +1,21 @@
-"""Definition-literal brute-force oracle: values, witnesses, budgets."""
+"""Exact oracle: the search against the literal scan, witnesses, budgets."""
+
+import os
 
 import pytest
 
 from critnum import (
+    KIND_TAGS,
     BudgetExceeded,
+    ConstructionInvariantViolated,
     CriticalKind,
     GroupType,
     InvalidOrder,
+    InvalidWorkers,
     OracleQuery,
     abelian_types,
     brute_critical,
     brute_critical_witness,
-    brute_critical_zero_anchored,
     brute_cr,
     brute_cr_star,
     brute_max_sumfree,
@@ -21,11 +25,64 @@ from critnum import (
     enumerate_subgroups,
     hfold_sumset,
     interval_critical_number,
+    interval_sumset,
     is_complete,
+    is_generating,
     max_sumfree_size,
     quotient_type_feasible,
+    search_critical_witness,
     subgroup_generated,
+    subset_sums,
 )
+from critnum.oracle import _recheck_witness, pool_size
+from critnum.sumsets import layout_for
+
+
+def _acceptance_grid_queries() -> list[OracleQuery]:
+    """Every oracle case of acceptance grids A1, A2, A4-A7, A9 and A10.
+
+    chi_interval occurs in none of them, so it runs on the A9/A10 grid
+    (every type of order <= 16, s <= 4) to cover all six kinds.
+    """
+    cases = []
+    for n in range(2, 17):
+        for g in abelian_types(n):
+            cases += [(g, "chi_h", h) for h in range(1, 7)]  # A1
+            cases += [(g, "chi_hat_h", h) for h in range(1, 7)]  # A2
+            cases += [(g, "chi_hat_interval", s) for s in range(1, 5)]  # A9, A10
+            cases += [(g, "chi_interval", s) for s in range(1, 5)]
+            if n >= 5 and not g.is_elementary_two:
+                cases.append((g, "chi_hat_interval", 3))  # A6
+            if 10 <= n <= 14:
+                cases += [(g, "cr", None), (g, "cr_star", None)]  # A7
+        cases += [(cyclic(n), "chi_hat_interval", s) for s in range(1, 6)]  # A4
+    for r in range(1, 5):
+        cases += [(GroupType((2,) * r), "chi_hat_interval", s) for s in (2, 3, 4)]  # A5
+    unique = dict.fromkeys((g.factors, tag, param) for g, tag, param in cases)
+    return [OracleQuery(GroupType(f), CriticalKind(tag, param)) for f, tag, param in unique]
+
+
+def _witness_problems(query: OracleQuery, value: int, witness) -> list[str]:
+    """Re-check a search result with the public kernels, outside the search."""
+    if witness is None:
+        return [] if value == 1 else [f"value {value} without a witness"]
+    problems = []
+    if witness.size != value - 1:
+        problems.append(f"witness size {witness.size} for value {value}")
+    mode, param = query.kind.mode, query.kind.param
+    if mode == "hfold":
+        covered = hfold_sumset(witness, param)
+    elif mode == "interval":
+        covered = interval_sumset(witness, param)
+    else:
+        covered = subset_sums(witness)
+    if is_complete(covered):
+        problems.append("expansion misses no element")
+    if query.restrict_generating and not is_generating(witness):
+        problems.append("witness does not generate")
+    if query.exclude_zero and witness.contains_index(0):
+        problems.append("witness contains zero")
+    return problems
 
 
 def test_query_flag_normalization():
@@ -89,19 +146,81 @@ def test_brute_matches_formula_small():
                 assert brute_critical(q) == interval_critical_number(n, s)
 
 
-def test_zero_anchored_agrees():
+def test_search_agrees_with_scan_on_small_grid():
+    # the grid the deleted zero-anchored scan was checked on
     for n in range(2, 13):
         for g in abelian_types(n):
             for kind in (CriticalKind("chi_h", 2), CriticalKind("chi_h", 3), CriticalKind("chi_interval", 2)):
                 q = OracleQuery(g, kind)
-                assert brute_critical_zero_anchored(q) == brute_critical(q)
+                value, witness = search_critical_witness(q)
+                assert value == brute_critical_witness(q)[0]
+                assert _witness_problems(q, value, witness) == []
 
 
-def test_zero_anchored_rejects_restricted_kinds():
-    with pytest.raises(ValueError):
-        brute_critical_zero_anchored(OracleQuery(cyclic(6), CriticalKind("chi_hat_h", 2)))
-    with pytest.raises(ValueError):
-        brute_critical_zero_anchored(OracleQuery(cyclic(6), CriticalKind("cr")))
+def test_search_handles_restricted_kinds():
+    # the kinds the deleted zero-anchored scan refused
+    for kind in (CriticalKind("chi_hat_h", 2), CriticalKind("cr")):
+        q = OracleQuery(cyclic(6), kind)
+        value, witness = search_critical_witness(q)
+        assert value == brute_critical_witness(q)[0]
+        assert _witness_problems(q, value, witness) == []
+
+
+def test_search_matches_scan_on_acceptance_grids():
+    queries = _acceptance_grid_queries()
+    assert {q.kind.tag for q in queries} == set(KIND_TAGS)
+    failures = []
+    for q in queries:
+        value, witness = search_critical_witness(q)
+        want = brute_critical_witness(q)[0]
+        if value != want:
+            failures.append(f"{q.group} {q.kind}: search {value} vs scan {want}")
+        failures += [f"{q.group} {q.kind}: {p}" for p in _witness_problems(q, value, witness)]
+    assert failures == []
+
+
+def test_search_matches_scan_with_query_flags():
+    # every kind with and without the generating restriction and zero exclusion
+    for n in range(2, 11):
+        for g in abelian_types(n):
+            for tag in KIND_TAGS:
+                params = (None,) if tag in ("cr", "cr_star") else (1, 2, 3)
+                for param in params:
+                    for restrict in (False, True):
+                        for exclude in (False, True):
+                            q = OracleQuery(g, CriticalKind(tag, param), restrict, exclude)
+                            value, witness = search_critical_witness(q)
+                            assert value == brute_critical_witness(q)[0], q
+                            assert _witness_problems(q, value, witness) == [], q
+
+
+def test_search_witness_recheck_fails_closed():
+    q = OracleQuery(cyclic(6), CriticalKind("chi_hat_h", 2), exclude_zero=True)
+    layout = layout_for(q.group)
+    _recheck_witness(q, layout, 0b101010)  # {1, 3, 5}: generates, misses 0
+    for bits in (layout.full, 0b010100, 0b101011):  # complete, non-generating, holds 0
+        with pytest.raises(ConstructionInvariantViolated):
+            _recheck_witness(q, layout, bits)
+
+
+def test_brute_critical_returns_search_value():
+    q = OracleQuery(GroupType((2, 10)), CriticalKind("chi_hat_interval", 3))
+    assert brute_critical(q, budget=20) == search_critical_witness(q, budget=20)[0] == 9
+    assert brute_critical(q, budget=20, workers=2) == 9
+
+
+def test_pool_size_bounds_workers():
+    cpus = os.cpu_count() or 1
+    assert pool_size(1) == 1
+    assert pool_size(10**6) == cpus  # clamped; no process is started here
+    for bad in (0, -3, True, 1.5):
+        with pytest.raises(InvalidWorkers):
+            pool_size(bad)
+    q = OracleQuery(cyclic(6), CriticalKind("chi_h", 2))
+    with pytest.raises(InvalidWorkers):
+        brute_critical_witness(q, workers=0)
+    with pytest.raises(InvalidWorkers):
+        brute_critical(q, workers=0)
 
 
 def test_worker_determinism():
@@ -124,6 +243,8 @@ def test_budget_guard():
     q = OracleQuery(cyclic(21), CriticalKind("chi_h", 1))
     with pytest.raises(BudgetExceeded):
         brute_critical(q)
+    with pytest.raises(BudgetExceeded):
+        search_critical_witness(q)
     assert brute_critical(q, budget=21) == 21
     with pytest.raises(BudgetExceeded):
         enumerate_subgroups(cyclic(17))

@@ -111,11 +111,15 @@ def lift_preimage(spec: QuotientSpec, subset: GroupSubset) -> GroupSubset:
     """Full preimage of a quotient subset; its size is |B| * n / d."""
     if subset.group != spec.quotient:
         raise SpecMismatch(f"subset lives in {subset.group}, quotient is {spec.quotient}")
-    bits = 0
-    for i in range(spec.parent.order):
-        if subset.contains_index(project_index(spec, i)):
-            bits |= 1 << i
-    return GroupSubset(spec.parent, bits)
+    # proj[i] is the quotient index of parent index i, built one coordinate
+    # at a time with the first coordinate varying fastest.
+    proj = [0]
+    qstride = 1
+    for f, e in zip(spec.parent.factors, spec.divisor_vector):
+        proj = [(c % e) * qstride + low for c in range(f) for low in proj]
+        qstride *= e
+    digit = format(subset.bits, f"0{spec.index}b")[::-1]
+    return GroupSubset(spec.parent, int("".join([digit[q] for q in reversed(proj)]), 2))
 
 
 def kernel_subset(spec: QuotientSpec) -> GroupSubset:
@@ -125,28 +129,27 @@ def kernel_subset(spec: QuotientSpec) -> GroupSubset:
 
 
 def closure_bits(layout: Layout, bits: int) -> int:
-    """Mask of the subgroup generated by the elements of a mask."""
-    seen = bits | 1
-    gens = set()
-    x = bits
+    """Mask of the subgroup generated by the elements of a mask.
+
+    Starting from H = {0}, each element g of the mask not yet in H is
+    absorbed by doubling: M <- M | (M + step), step <- 2*step, so after t
+    rounds M = H + {0, ..., 2^t - 1}g.  An arc of fewer than ord(g mod H)
+    cosets is invariant under no nonzero shift, so a round that adds
+    nothing means M = H + <g>.  That is O(log n) translations per element
+    that grows H, and H grows at most log2(n) times.
+    """
+    sub = 1
+    x = bits & ~1
     while x:
-        low = x & -x
-        x ^= low
-        i = low.bit_length() - 1
-        gens.add(i)
-        gens.add(layout.neg_index[i])
-    frontier = seen
-    full = layout.full
-    while frontier:
-        new = 0
-        for g in gens:
-            new |= translate_bits(layout, frontier, g)
-        new &= full ^ seen
-        if not new:
-            break
-        seen |= new
-        frontier = new
-    return seen
+        step = (x & -x).bit_length() - 1
+        while True:
+            grown = sub | translate_bits(layout, sub, step)
+            if grown == sub:
+                break
+            sub = grown
+            step = translate_bits(layout, 1 << step, step).bit_length() - 1
+        x &= ~sub
+    return sub
 
 
 def subgroup_generated(subset: GroupSubset) -> GroupSubset:

@@ -22,52 +22,48 @@ from .groups import GroupType
 class Layout:
     """Precomputed bit-level tables for one group shape.
 
-    shift_ops[e] is a sequence of (low_mask, high_mask, up, down) tuples;
-    applying them in order to a mask translates the set by the element with
-    index e.  Each tuple rotates one mixed-radix coordinate: within every
-    block of that coordinate the low bits move up by `up` and the high bits
-    wrap down by `down`.
+    shift_ops[e] is a sequence of (keep, wrap, up, down) tuples; applying
+    bits = ((bits << up) & keep) | ((bits & wrap) >> down) in order
+    translates the set by the element with index e.  Each tuple rotates one
+    mixed-radix coordinate within its blocks: `keep` drops the bits shifted
+    out of their block, and `wrap` (the top `up` bits of each block) brings
+    them back down.  The last coordinate's block is the whole mask, so its
+    shifts are plain rotations sharing keep = wrap = full; a lower
+    coordinate f holds two n-bit masks per shift, 2n(f - 1) bits in all.
+    neg_index[e] is the index of -e.
     """
 
-    __slots__ = ("factors", "order", "full", "strides", "shift_ops", "neg_index")
+    __slots__ = ("factors", "order", "full", "shift_ops", "neg_index")
 
     def __init__(self, factors: tuple[int, ...]):
         group = GroupType(factors)
         n = group.order
         self.factors = group.factors
         self.order = n
-        self.full = (1 << n) - 1
-        strides = []
-        s = 1
+        self.full = full = (1 << n) - 1
+
+        # Tables indexed by flat index, extended one coordinate at a time
+        # with the first coordinate varying fastest.
+        ops: list[tuple] = [()]
+        neg = [0]
+        stride = 1
         for f in group.factors:
-            strides.append(s)
-            s *= f
-        self.strides = tuple(strides)
-
-        # Per coordinate, a repeating-unit mask with one bit at the base of
-        # every block lets us stamp out block-periodic masks by multiplication.
-        coord_masks = []
-        for stride, f in zip(strides, group.factors):
             block = stride * f
-            rep = self.full // ((1 << block) - 1)
-            per_shift = []
-            for c in range(f):
-                if c == 0:
-                    per_shift.append(None)
-                    continue
-                up = c * stride
-                low_width = block - up
-                low = rep * ((1 << low_width) - 1)
-                high = self.full ^ low
-                per_shift.append((low, high, up, low_width))
-            coord_masks.append(per_shift)
-
-        ops = []
-        for i in range(n):
-            coords = group.decode(i)
-            ops.append(tuple(coord_masks[j][c] for j, c in enumerate(coords) if c))
+            # A repeating-unit mask with one bit at the base of every block
+            # stamps out block-periodic masks by multiplication.
+            rep = full // ((1 << block) - 1)
+            tails = [()]
+            for up in range(stride, block, stride):
+                if block == n:
+                    tails.append(((full, full, up, n - up),))
+                else:
+                    low = rep * ((1 << (block - up)) - 1)
+                    tails.append(((low << up, full ^ low, up, block - up),))
+            ops = [prev + tail for tail in tails for prev in ops]
+            neg = [(-c % f) * stride + prev for c in range(f) for prev in neg]
+            stride = block
         self.shift_ops = tuple(ops)
-        self.neg_index = tuple(group.encode(group.neg(group.decode(i))) for i in range(n))
+        self.neg_index = tuple(neg)
 
 
 @lru_cache(maxsize=None)
@@ -81,8 +77,8 @@ def layout_for(group: GroupType) -> Layout:
 
 def translate_bits(layout: Layout, bits: int, index: int) -> int:
     """Mask of {a + g : a in bits} where g is the element with flat index."""
-    for low, high, up, down in layout.shift_ops[index]:
-        bits = ((bits & low) << up) | ((bits & high) >> down)
+    for keep, wrap, up, down in layout.shift_ops[index]:
+        bits = ((bits << up) & keep) | ((bits & wrap) >> down)
     return bits
 
 
@@ -98,8 +94,8 @@ def pairwise_bits(layout: Layout, a: int, b: int) -> int:
         lowbit = x & -x
         x ^= lowbit
         y = b
-        for low, high, up, down in ops[lowbit.bit_length() - 1]:
-            y = ((y & low) << up) | ((y & high) >> down)
+        for keep, wrap, up, down in ops[lowbit.bit_length() - 1]:
+            y = ((y << up) & keep) | ((y & wrap) >> down)
         acc |= y
         if acc == full:
             break

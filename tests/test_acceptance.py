@@ -2,7 +2,9 @@
 
 A1-A10 hold at orders the literal scan also covers (tests/test_oracle.py
 checks the search against the scan on those grids); A12 checks the search
-alone against the closed forms at orders 17-24.
+alone against the closed forms at orders 17-24.  A13 builds and verifies
+certificates at Z65536, where per-shift masks for the top coordinate
+would need about 1 GiB.
 
 Each criterion prints and records exactly one PASS/FAIL line (echoed in the
 terminal summary by conftest).  Exact equality throughout; no tolerances.
@@ -350,3 +352,23 @@ def test_a12_search_matches_closed_forms_past_the_scan():
             check(g, "cr", None, whole)
     elapsed = time.monotonic() - start
     _finish("A12", f"search vs closed forms at orders 17-24 on {cases} cases in {elapsed:.1f}s", failures)
+
+
+def test_a13_certificates_at_order_65536():
+    start = time.monotonic()
+    n, h = 65536, 2
+    group = cyclic(n)
+    failures = []
+    cert = hfold_witness(group, h)
+    want = max_incomplete_size(n, h)
+    if not (cert.generates and cert.incomplete and cert.subset.size == cert.claimed_size == want):
+        failures.append(f"h-fold witness: size {cert.subset.size} vs {want}, "
+                        f"generates={cert.generates}, incomplete={cert.incomplete}")
+    bound = best_interval_bound(group, h)
+    want = generating_interval_critical_cyclic(n, h)
+    if bound.is_trivial or not (bound.generates and bound.incomplete):
+        failures.append("interval bound: no verified witness")
+    elif bound.bound != want or bound.witness.size != want - 1:
+        failures.append(f"interval bound: bound {bound.bound}, witness size {bound.witness.size}, formula {want}")
+    elapsed = time.monotonic() - start
+    _finish("A13", f"h-fold witness and interval bound at Z{n}, h = s = {h}, in {elapsed:.1f}s", failures)

@@ -1,5 +1,7 @@
 """Quotient maps, generated subgroups, preimage lifting."""
 
+import random
+
 import pytest
 
 from critnum import (
@@ -21,6 +23,8 @@ from critnum import (
     spec_for_quotient_type,
     subgroup_generated,
 )
+from critnum.quotients import closure_bits
+from critnum.sumsets import layout_for
 
 
 def test_greedy_divisor_vector():
@@ -147,3 +151,39 @@ def test_generated_subgroup_is_closed_under_addition():
         for y in elems:
             assert sub.contains(g.add(x, y))
     assert sub.size == 6
+
+
+def literal_closure(group, indices):
+    # definition-literal: {0} and the elements, closed under group.add
+    gens = [group.decode(i) for i in indices]
+    seen = {group.zero()} | set(gens)
+    frontier = set(seen)
+    while frontier:
+        frontier = {group.add(x, g) for x in frontier for g in gens} - seen
+        seen |= frontier
+    return sum(1 << group.encode(x) for x in seen)
+
+
+CLOSURE_TYPES = [g for n in range(2, 25) for g in abelian_types(n)] + [GroupType((2,) * 5)]
+
+
+@pytest.mark.parametrize("group", CLOSURE_TYPES, ids=str)
+def test_closure_bits_matches_literal_fixpoint(group):
+    rng = random.Random(group.order * 131 + group.rank)
+    n = group.order
+    layout = layout_for(group)
+    masks = [0] + [rng.getrandbits(n) for _ in range(4)]
+    masks += [sum(1 << i for i in rng.sample(range(n), k)) for k in range(min(n, 3) + 1) for _ in range(3)]
+    for bits in masks:
+        indices = [i for i in range(n) if bits >> i & 1]
+        assert closure_bits(layout, bits) == literal_closure(group, indices), bits
+
+
+@pytest.mark.parametrize("group", [g for n in range(2, 37) for g in abelian_types(n)], ids=str)
+def test_lift_preimage_matches_projection(group):
+    rng = random.Random(group.order * 17 + group.rank)
+    for d in group.divisor_list()[1:]:
+        spec = quotient_spec(group, d)
+        for bits in (0, 1, (1 << d) - 1, rng.getrandbits(d), rng.getrandbits(d)):
+            want = sum(1 << i for i in range(group.order) if bits >> project_index(spec, i) & 1)
+            assert lift_preimage(spec, GroupSubset(spec.quotient, bits)).bits == want, (d, bits)

@@ -13,6 +13,7 @@ from critnum import (
     InvalidH,
     InvalidS,
     SpecMismatch,
+    abelian_types,
     cyclic,
     hfold_sumset,
     interval_sumset,
@@ -20,6 +21,7 @@ from critnum import (
     pairwise_sumset,
     subset_sums,
 )
+from critnum.sumsets import layout_for, translate_bits
 
 GROUPS = [cyclic(7), cyclic(12), GroupType((2, 4)), GroupType((3, 3)), GroupType((2, 2, 3))]
 
@@ -143,6 +145,38 @@ def test_fold_of_singleton_and_zero():
         assert hfold_sumset(zero_only, h).bits == zero_only.bits
     one = GroupSubset.from_elements(g, [(1, 1)])
     assert set(hfold_sumset(one, 2).elements()) == {(0, 2)}
+
+
+def small_types(max_order):
+    return [g for n in range(2, max_order + 1) for g in abelian_types(n)]
+
+
+@pytest.mark.parametrize("group", small_types(32), ids=str)
+def test_layout_tables_match_group_arithmetic(group):
+    layout = layout_for(group)
+    for i in range(group.order):
+        x = group.decode(i)
+        assert layout.neg_index[i] == group.neg_index(i)
+        for j in range(group.order):
+            want = group.encode(group.add(x, group.decode(j)))
+            assert translate_bits(layout, 1 << i, j) == 1 << want
+
+
+def _mask_bits(layout):
+    # total size of the distinct mask objects that shift_ops holds
+    masks = {id(m): m for ops in layout.shift_ops for op in ops for m in op[:2]}
+    return sum(m.bit_length() for m in masks.values())
+
+
+def test_layout_masks_are_linear_in_order():
+    # the top coordinate's shifts share one mask; each shift of a lower
+    # coordinate f holds two masks of n bits
+    z4096 = layout_for(cyclic(4096))
+    assert _mask_bits(z4096) <= 2 * 4096
+    z2x2048 = layout_for(GroupType((2, 2048)))
+    assert _mask_bits(z2x2048) <= 4096 + 2 * 4096 * (2 - 1)
+    z8x8 = layout_for(GroupType((8, 8)))
+    assert _mask_bits(z8x8) <= 64 + 2 * 64 * (8 - 1)
 
 
 def test_translated():

@@ -7,9 +7,13 @@ Subcommands:
   bound    the best coset lower-bound certificate as JSON
   sumfree  closed-form maximum sum-free size vs backtracking search
 
-Tables carry a fixed column set (group, n, quantity, param, formula,
-oracle, witness_ok, branch) in all three formats, and rows are emitted in
-a deterministic order, so output is byte-stable for a fixed invocation.
+Every quantity is one `Quantity` record in QUANTITIES: its parameter flag,
+the groups it applies to, its row function, the oracle it is checked
+against and the agreement relation.  `formula` and `verify` read only that
+table.  Tables carry a fixed column set (group, n, quantity, param,
+formula, oracle, witness_ok, branch) in all three formats, and rows are
+emitted in a deterministic order, so output is byte-stable for a fixed
+invocation.
 """
 
 from __future__ import annotations
@@ -17,21 +21,21 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import os
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 from .errors import BudgetExceeded, CritnumError, InvalidOrder, WrongGroupClass
 from .formulas import (
     CriticalKind,
     critical_number,
-    generating_critical_number,
-    generating_interval_critical_cyclic,
     generating_interval_critical_s3,
     generating_interval_critical_two_group,
     generating_interval_cyclic_divisors,
     interval3_branch_divisor,
     interval3_piecewise_value,
-    interval_critical_number,
     max_incomplete_divisors,
     max_sumfree_size,
     subset_sum_critical_pair,
@@ -48,30 +52,130 @@ from .oracle import (
 )
 from .witnesses import best_interval_bound, hfold_witness, interval_witness
 
-QUANTITIES = (
-    "chi_h",
-    "chi_interval",
-    "chi_hat_h",
-    "chi_hat_cyclic",
-    "chi_hat_2group",
-    "chi_hat_interval3",
-    "cr",
-    "sumfree",
-    "prop_bound",
-)
-
-# Quantities whose closed form depends only on the order; a bare order
-# range in the formula command collapses these to one row per order.
-ORDER_ONLY = {"chi_h", "chi_interval", "chi_hat_h", "chi_hat_cyclic", "sumfree"}
-
-NEEDS_H = {"chi_h", "chi_hat_h"}
-NEEDS_S = {"chi_interval", "chi_hat_cyclic", "chi_hat_2group", "prop_bound"}
-
 CSV_COLUMNS = ("group", "n", "quantity", "param", "formula", "oracle", "witness_ok", "branch")
 
 
 class UsageError(Exception):
     """Bad flag combination or unparsable flag value."""
+
+
+# Row functions map (quantity, group, param, guarded) to a list of rows
+# (tag, param, value, branch, check).  `guarded` is False only for a swept
+# group outside the quantity's validated domain, which is reported with the
+# unguarded closed form.  `check` is a zero-argument certificate test or
+# None; a fail-closed builder that raises CritnumError fails the test.
+
+
+def _divisor_branch(ds) -> str:
+    return "d=" + "|".join(str(d) for d in ds)
+
+
+def _fold_rows(quantity, group, param, guarded):
+    kind = CriticalKind(quantity, param)  # refuses a bad h or s
+    _, maxers = max_incomplete_divisors(group.order, param)
+    builder = interval_witness if kind.mode == "interval" else hfold_witness
+    value = critical_number(group.order, param)
+    return [(quantity, param, value, _divisor_branch(maxers), lambda: builder(group, param))]
+
+
+def _cyclic_rows(quantity, group, s, guarded):
+    if not group.is_cyclic:
+        raise WrongGroupClass(f"{quantity} applies to cyclic groups, got {group}")
+    value, ds = generating_interval_cyclic_divisors(group.order, s)
+    branch = _divisor_branch(ds) if ds else "n<=s+1"
+    return [(quantity, s, value, branch, lambda: best_interval_bound(group, s).bound == value)]
+
+
+def _two_group_rows(quantity, group, s, guarded):
+    if not group.is_elementary_two:
+        raise WrongGroupClass(f"{quantity} applies to groups of exponent 2, got {group}")
+    value = generating_interval_critical_two_group(group.rank, s)
+    branch = "r<=s" if group.rank <= s else f"r={group.rank}"
+    return [(quantity, s, value, branch, lambda: best_interval_bound(group, s).bound == value)]
+
+
+def _interval3_rows(quantity, group, _, guarded):
+    if not guarded:
+        return [(quantity, 3, interval3_piecewise_value(group), "excluded:n<=4", None)]
+    value = generating_interval_critical_s3(group)
+    m = interval3_branch_divisor(group)
+    return [(quantity, 3, value, f"m={m}" if m is not None else "floor", None)]
+
+
+def _cr_rows(quantity, group, _, guarded):
+    star, whole = subset_sum_critical_pair(group)
+    branch = "sqrt" if subset_sum_uses_sqrt_branch(group) else "smallest-prime"
+    return [("cr_star", None, star, branch, None), ("cr", None, whole, branch, None)]
+
+
+def _sumfree_rows(quantity, group, _, guarded):
+    if not group.is_cyclic:
+        raise UsageError(f"sum-free search is defined on cyclic groups, got {group}")
+    value = max_sumfree_size(group.order)
+    p = sumfree_branch_prime(group.order)
+    return [(quantity, None, value, f"p={p}" if p is not None else "floor", None)]
+
+
+def _prop_bound_rows(quantity, group, s, guarded):
+    # The coset lower-bound certificate against the exact generating value.
+    cert = best_interval_bound(group, s)
+    if cert.is_trivial:
+        branch = "trivial"
+    else:
+        qt = "x".join(str(d) for d in cert.quotient_type)
+        cv = "x".join(str(c) for c in cert.c_vector)
+        branch = f"q={qt};c={cv}"
+    return [(quantity, s, cert.bound, branch, lambda: cert.is_trivial or (cert.generates and cert.incomplete))]
+
+
+def _everywhere(group: GroupType) -> bool:
+    return True
+
+
+SUMFREE = "sumfree"
+
+
+@dataclass(frozen=True)
+class Quantity:
+    """What the CLI knows about one quantity.
+
+    param      the flag that carries its parameter: "h", "s" or None
+    order_only the closed form depends on the order alone, so a bare order
+               range in `formula` gives one (cyclic) row per order
+    rows       the row function (see above)
+    oracle     the CriticalKind tag the oracle is asked, None for each
+               row's own tag, or SUMFREE for the sum-free search
+    applies    which swept groups take part
+    validated  where the closed form is asserted; outside it `formula`
+               skips a swept group and `verify` reports it without a verdict
+    agrees     the relation (oracle, formula) that counts as agreement
+    """
+
+    param: str | None
+    order_only: bool
+    rows: Callable
+    oracle: str | None
+    applies: Callable[[GroupType], bool] = _everywhere
+    validated: Callable[[GroupType], bool] = _everywhere
+    agrees: Callable[[int, int], bool] = operator.eq
+
+
+QUANTITIES = {
+    "chi_h": Quantity("h", True, _fold_rows, None),
+    "chi_interval": Quantity("s", True, _fold_rows, None),
+    "chi_hat_h": Quantity("h", True, _fold_rows, None),
+    "chi_hat_cyclic": Quantity("s", True, _cyclic_rows, "chi_hat_interval", applies=lambda g: g.is_cyclic),
+    "chi_hat_2group": Quantity(
+        "s", False, _two_group_rows, "chi_hat_interval", applies=lambda g: g.is_elementary_two
+    ),
+    "chi_hat_interval3": Quantity(
+        None, False, _interval3_rows, "chi_hat_interval",
+        applies=lambda g: not g.is_elementary_two, validated=lambda g: g.order >= 5,
+    ),
+    "cr": Quantity(None, False, _cr_rows, None, applies=lambda g: g.order >= 10),
+    "sumfree": Quantity(None, True, _sumfree_rows, SUMFREE, applies=lambda g: g.is_cyclic),
+    "prop_bound": Quantity("s", False, _prop_bound_rows, "chi_hat_interval", agrees=operator.ge),
+}
 
 
 def _parse_span(text: str, flag: str) -> list[int]:
@@ -91,25 +195,14 @@ def _parse_span(text: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} value {text!r} is not an integer") from None
 
 
-def _applicable(quantity: str, group: GroupType) -> bool:
-    """Whether a swept group participates in the given quantity at all."""
-    if quantity in ("chi_hat_cyclic", "sumfree"):
-        return group.is_cyclic
-    if quantity == "chi_hat_2group":
-        return group.is_elementary_two
-    if quantity == "chi_hat_interval3":
-        return not group.is_elementary_two
-    if quantity == "cr":
-        return group.order >= 10
-    return True
-
-
 def _gather_groups(args, quantity: str, command: str) -> list[GroupType]:
     """Resolve --group/--order/--max-order into a sorted, deduplicated list.
 
-    Swept groups (from order ranges) are filtered by quantity applicability;
-    explicitly named groups are kept as-is so domain errors surface verbatim.
+    Swept groups (from order ranges) are filtered by the quantity's
+    `applies`, and in `formula` by its `validated`; explicitly named groups
+    are kept as-is so domain errors surface verbatim.
     """
+    q = QUANTITIES[quantity]
     explicit = [parse_group(text) for text in (args.group or [])]
     orders: list[int] = []
     if getattr(args, "order", None):
@@ -119,20 +212,13 @@ def _gather_groups(args, quantity: str, command: str) -> list[GroupType]:
             raise InvalidOrder(f"--max-order must be at least 2, got {args.max_order}")
         orders.extend(range(2, args.max_order + 1))
     swept: list[GroupType] = []
-    per_order = command == "formula" and quantity in ORDER_ONLY
     for n in orders:
-        if per_order:
+        if command == "formula" and q.order_only:
             swept.append(cyclic(n))
         else:
-            swept.extend(g for g in abelian_types(n) if _applicable(quantity, g))
-    if command == "formula" and quantity == "chi_hat_interval3":
-        # The interval-3 closed form is only asserted from order 5 up;
-        # formula sweeps skip the smaller orders, verify reports them.
-        swept = [g for g in swept if g.order >= 5]
-    if quantity == "sumfree":
-        for g in explicit:
-            if not g.is_cyclic:
-                raise UsageError(f"sum-free search is defined on cyclic groups, got {g}")
+            swept.extend(g for g in abelian_types(n) if q.applies(g))
+    if command == "formula":
+        swept = [g for g in swept if q.validated(g)]
     merged = {g.factors: g for g in explicit + swept}
     groups = sorted(merged.values(), key=lambda g: (g.order, g.factors))
     if not groups:
@@ -141,23 +227,18 @@ def _gather_groups(args, quantity: str, command: str) -> list[GroupType]:
 
 
 def _resolve_params(args, quantity: str) -> list[int | None]:
-    h = getattr(args, "h", None)
-    s = getattr(args, "s", None)
-    if quantity in NEEDS_H:
-        if s is not None:
-            raise UsageError(f"--s does not apply to quantity {quantity}")
-        if h is None:
-            raise UsageError(f"quantity {quantity} requires --h")
-        return list(_parse_span(h, "--h"))
-    if quantity in NEEDS_S:
-        if h is not None:
-            raise UsageError(f"--h does not apply to quantity {quantity}")
-        if s is None:
-            raise UsageError(f"quantity {quantity} requires --s")
-        return list(_parse_span(s, "--s"))
-    if h is not None or s is not None:
-        raise UsageError(f"quantity {quantity} takes no --h/--s parameter")
-    return [None]
+    flag = QUANTITIES[quantity].param
+    given = {"h": getattr(args, "h", None), "s": getattr(args, "s", None)}
+    if flag is None:
+        if given["h"] is not None or given["s"] is not None:
+            raise UsageError(f"quantity {quantity} takes no --h/--s parameter")
+        return [None]
+    other = "s" if flag == "h" else "h"
+    if given[other] is not None:
+        raise UsageError(f"--{other} does not apply to quantity {quantity}")
+    if given[flag] is None:
+        raise UsageError(f"quantity {quantity} requires --{flag}")
+    return _parse_span(given[flag], f"--{flag}")
 
 
 def _resolve_budget(groups: list[GroupType], ack: bool) -> int:
@@ -173,26 +254,11 @@ def _resolve_budget(groups: list[GroupType], ack: bool) -> int:
     return budget
 
 
-def _try_witness(builder, *wargs) -> bool:
-    # Builders are fail-closed: any verification failure raises.
+def _passes(check) -> bool:
     try:
-        builder(*wargs)
-        return True
+        return bool(check())
     except CritnumError:
         return False
-
-
-def _new_row(group: GroupType, quantity: str, param, formula) -> dict:
-    return {
-        "group": str(group),
-        "n": group.order,
-        "quantity": quantity,
-        "param": param,
-        "formula": formula,
-        "oracle": None,
-        "witness_ok": None,
-        "branch": None,
-    }
 
 
 def _quantity_rows(quantity, group, param, oracle_opts, swept):
@@ -202,133 +268,36 @@ def _quantity_rows(quantity, group, param, oracle_opts, swept):
     Returns a list of (row, agree) with agree True/False/None; None marks
     report-only rows that never count toward the exit code.
     """
-    n = group.order
-    if quantity in ("chi_h", "chi_interval", "chi_hat_h"):
-        if quantity == "chi_h":
-            value = critical_number(n, param)
-        elif quantity == "chi_interval":
-            value = interval_critical_number(n, param)
-        else:
-            value = generating_critical_number(n, param)
-        _, maxers = max_incomplete_divisors(n, param)
-        row = _new_row(group, quantity, param, value)
-        row["branch"] = "d=" + "|".join(str(d) for d in maxers)
+    q = QUANTITIES[quantity]
+    guarded = not swept or q.validated(group)
+    out = []
+    for tag, row_param, value, branch, check in q.rows(quantity, group, param, guarded):
+        row = {
+            "group": str(group),
+            "n": group.order,
+            "quantity": tag,
+            "param": row_param,
+            "formula": value,
+            "oracle": None,
+            "witness_ok": None,
+            "branch": branch,
+        }
         agree = None
         if oracle_opts:
             budget, workers = oracle_opts
-            tag = "chi_interval" if quantity == "chi_interval" else quantity
-            kind = CriticalKind(tag, param)
-            row["oracle"] = brute_critical(OracleQuery(group, kind), budget=budget, workers=workers)
-            if quantity == "chi_interval":
-                row["witness_ok"] = _try_witness(interval_witness, group, param)
+            if q.oracle == SUMFREE:
+                row["oracle"] = brute_max_sumfree(group.order, budget=budget)
             else:
-                row["witness_ok"] = _try_witness(hfold_witness, group, param)
-            agree = row["oracle"] == value and row["witness_ok"]
-        return [(row, agree)]
-
-    if quantity == "chi_hat_cyclic":
-        if not group.is_cyclic:
-            raise WrongGroupClass(f"chi_hat_cyclic applies to cyclic groups, got {group}")
-        value = generating_interval_critical_cyclic(n, param)
-        _, ds = generating_interval_cyclic_divisors(n, param)
-        row = _new_row(group, quantity, param, value)
-        row["branch"] = "n<=s+1" if not ds else "d=" + "|".join(str(d) for d in ds)
-        agree = None
-        if oracle_opts:
-            budget, workers = oracle_opts
-            kind = CriticalKind("chi_hat_interval", param)
-            row["oracle"] = brute_critical(OracleQuery(group, kind), budget=budget, workers=workers)
-            row["witness_ok"] = _try_witness(
-                lambda g, s: _require(best_interval_bound(g, s).bound == value), group, param
-            )
-            agree = row["oracle"] == value and row["witness_ok"]
-        return [(row, agree)]
-
-    if quantity == "chi_hat_2group":
-        if not group.is_elementary_two:
-            raise WrongGroupClass(f"chi_hat_2group applies to groups of exponent 2, got {group}")
-        value = generating_interval_critical_two_group(group.rank, param)
-        row = _new_row(group, quantity, param, value)
-        row["branch"] = "r<=s" if group.rank <= param else f"r={group.rank}"
-        agree = None
-        if oracle_opts:
-            budget, workers = oracle_opts
-            kind = CriticalKind("chi_hat_interval", param)
-            row["oracle"] = brute_critical(OracleQuery(group, kind), budget=budget, workers=workers)
-            row["witness_ok"] = _try_witness(
-                lambda g, s: _require(best_interval_bound(g, s).bound == value), group, param
-            )
-            agree = row["oracle"] == value and row["witness_ok"]
-        return [(row, agree)]
-
-    if quantity == "chi_hat_interval3":
-        reported_only = swept and n <= 4
-        value = interval3_piecewise_value(group) if reported_only else generating_interval_critical_s3(group)
-        m = interval3_branch_divisor(group)
-        row = _new_row(group, quantity, 3, value)
-        row["branch"] = f"m={m}" if m is not None else "floor"
-        agree = None
-        if oracle_opts:
-            budget, workers = oracle_opts
-            kind = CriticalKind("chi_hat_interval", 3)
-            row["oracle"] = brute_critical(OracleQuery(group, kind), budget=budget, workers=workers)
-            if reported_only:
-                match = "true" if row["oracle"] == value else "false"
-                row["branch"] = f"excluded:n<=4;match={match}"
-            else:
-                agree = row["oracle"] == value
-        return [(row, agree)]
-
-    if quantity == "cr":
-        star, whole = subset_sum_critical_pair(group)
-        branch = "sqrt" if subset_sum_uses_sqrt_branch(group) else "smallest-prime"
-        out = []
-        for tag, value in (("cr_star", star), ("cr", whole)):
-            row = _new_row(group, tag, None, value)
-            row["branch"] = branch
-            agree = None
-            if oracle_opts:
-                budget, workers = oracle_opts
-                kind = CriticalKind(tag)
+                kind = CriticalKind(q.oracle or tag, row_param)
                 row["oracle"] = brute_critical(OracleQuery(group, kind), budget=budget, workers=workers)
-                agree = row["oracle"] == value
-            out.append((row, agree))
-        return out
-
-    if quantity == "sumfree":
-        value = max_sumfree_size(n)
-        p = sumfree_branch_prime(n)
-        row = _new_row(group, quantity, None, value)
-        row["branch"] = f"p={p}" if p is not None else "floor"
-        agree = None
-        if oracle_opts:
-            budget, _ = oracle_opts
-            row["oracle"] = brute_max_sumfree(n, budget=budget)
-            agree = row["oracle"] == value
-        return [(row, agree)]
-
-    # prop_bound: lower-bound certificate vs the brute generating value.
-    cert = best_interval_bound(group, param)
-    row = _new_row(group, quantity, param, cert.bound)
-    if cert.is_trivial:
-        row["branch"] = "trivial"
-    else:
-        qt = "x".join(str(d) for d in cert.quotient_type)
-        cv = "x".join(str(c) for c in cert.c_vector)
-        row["branch"] = f"q={qt};c={cv}"
-    agree = None
-    if oracle_opts:
-        budget, workers = oracle_opts
-        kind = CriticalKind("chi_hat_interval", param)
-        row["oracle"] = brute_critical(OracleQuery(group, kind), budget=budget, workers=workers)
-        row["witness_ok"] = cert.is_trivial or bool(cert.generates and cert.incomplete)
-        agree = row["oracle"] >= cert.bound and row["witness_ok"]
-    return [(row, agree)]
-
-
-def _require(ok: bool) -> None:
-    if not ok:
-        raise CritnumError("bound search does not reach the closed-form value")
+            if check is not None:
+                row["witness_ok"] = _passes(check)
+            if guarded:
+                agree = q.agrees(row["oracle"], value) and row["witness_ok"] is not False
+            else:
+                row["branch"] += ";match=" + _cell(row["oracle"] == value)
+        out.append((row, agree))
+    return out
 
 
 def _cell(value) -> str:
@@ -365,9 +334,6 @@ def cmd_formula(args) -> int:
     quantity = args.quantity
     groups = _gather_groups(args, quantity, "formula")
     params = _resolve_params(args, quantity)
-    # Formula-only sweeps skip groups outside a quantity's validated domain.
-    if quantity == "chi_hat_interval3" and not args.group:
-        groups = [g for g in groups if g.order >= 5]
     rows = []
     for group in groups:
         for param in params:
@@ -419,33 +385,27 @@ def cmd_verify(args) -> int:
     return 0 if not mismatches else 1
 
 
+def _print_certificate(cert, fmt: str) -> int:
+    payload = cert.to_json_dict()
+    if fmt == "text":
+        for key in sorted(payload):
+            sys.stdout.write(f"{key}: {json.dumps(payload[key])}\n")
+    else:
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
 def cmd_witness(args) -> int:
     group = parse_group(args.group)
     if (args.h is None) == (args.s is None):
         raise UsageError("witness needs exactly one of --h or --s")
     if args.h is not None:
-        cert = hfold_witness(group, args.h)
-    else:
-        cert = interval_witness(group, args.s)
-    payload = cert.to_json_dict()
-    if args.format == "text":
-        for key in sorted(payload):
-            sys.stdout.write(f"{key}: {json.dumps(payload[key])}\n")
-    else:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return 0
+        return _print_certificate(hfold_witness(group, args.h), args.format)
+    return _print_certificate(interval_witness(group, args.s), args.format)
 
 
 def cmd_bound(args) -> int:
-    group = parse_group(args.group)
-    cert = best_interval_bound(group, args.s)
-    payload = cert.to_json_dict()
-    if args.format == "text":
-        for key in sorted(payload):
-            sys.stdout.write(f"{key}: {json.dumps(payload[key])}\n")
-    else:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return 0
+    return _print_certificate(best_interval_bound(parse_group(args.group), args.s), args.format)
 
 
 def cmd_sumfree(args) -> int:
@@ -471,24 +431,24 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p) -> None:
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
-    p_formula = sub.add_parser("formula", help="closed-form values")
-    add_selection(p_formula)
-    p_formula.add_argument("--quantity", choices=QUANTITIES, required=True)
-    p_formula.add_argument("--h", metavar="H|LO..HI")
-    p_formula.add_argument("--s", metavar="S|LO..HI")
-    add_format(p_formula)
-    p_formula.set_defaults(func=cmd_formula)
+    def add_oracle(p) -> None:
+        p.add_argument("--workers", type=int, default=1,
+                       help="must be at least 1; the oracle runs in one process, "
+                            "so this changes neither the work nor the output")
+        p.add_argument("--budget-ack", dest="budget_ack", action="store_true",
+                       help="accept oracle cost for orders past the default budget")
 
-    p_verify = sub.add_parser("verify", help="formula vs oracle vs witness")
-    add_selection(p_verify)
-    p_verify.add_argument("--quantity", choices=QUANTITIES, required=True)
-    p_verify.add_argument("--h", metavar="H|LO..HI")
-    p_verify.add_argument("--s", metavar="S|LO..HI")
-    add_format(p_verify)
-    p_verify.add_argument("--workers", type=int, default=1)
-    p_verify.add_argument("--budget-ack", dest="budget_ack", action="store_true",
-                          help="accept oracle cost for orders past the default budget")
-    p_verify.set_defaults(func=cmd_verify)
+    for name, help_text, func in (("formula", "closed-form values", cmd_formula),
+                                  ("verify", "formula vs oracle vs witness", cmd_verify)):
+        p = sub.add_parser(name, help=help_text)
+        add_selection(p)
+        p.add_argument("--quantity", choices=tuple(QUANTITIES), required=True)
+        p.add_argument("--h", metavar="H|LO..HI")
+        p.add_argument("--s", metavar="S|LO..HI")
+        add_format(p)
+        if name == "verify":
+            add_oracle(p)
+        p.set_defaults(func=func)
 
     p_witness = sub.add_parser("witness", help="extremal-set certificate")
     p_witness.add_argument("--group", required=True, metavar="G")
@@ -506,8 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sumfree = sub.add_parser("sumfree", help="max sum-free size, formula vs search")
     add_selection(p_sumfree)
     add_format(p_sumfree)
-    p_sumfree.add_argument("--workers", type=int, default=1)
-    p_sumfree.add_argument("--budget-ack", dest="budget_ack", action="store_true")
+    add_oracle(p_sumfree)
     p_sumfree.set_defaults(func=cmd_sumfree, h=None, s=None)
 
     return parser

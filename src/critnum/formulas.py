@@ -48,11 +48,9 @@ class CriticalKind:
             if self.param is not None:
                 raise ValueError(f"{self.tag} takes no parameter")
         elif self.tag in ("chi_h", "chi_hat_h"):
-            if not isinstance(self.param, int) or isinstance(self.param, bool) or self.param < 1:
-                raise InvalidH(f"fold count must be an integer >= 1, got {self.param!r}")
+            _check_h(self.param)
         else:
-            if not isinstance(self.param, int) or isinstance(self.param, bool) or self.param < 1:
-                raise InvalidS(f"interval length must be an integer >= 1, got {self.param!r}")
+            _check_s(self.param)
 
     @property
     def restricts_to_generating(self) -> bool:
@@ -123,17 +121,6 @@ def critical_number(n: int, h: int) -> int:
     Depends only on the order n, not on the group structure.
     """
     return max_incomplete_size(n, h) + 1
-
-
-def interval_critical_number(n: int, s: int) -> int:
-    """Interval variant; coincides with the h-fold value at h = s."""
-    _check_s(s)
-    return critical_number(n, s)
-
-
-def generating_critical_number(n: int, h: int) -> int:
-    """Restricting to generating subsets does not change the h-fold value."""
-    return critical_number(n, h)
 
 
 def subset_sum_uses_sqrt_branch(group: GroupType) -> bool:

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import InvalidElement, InvalidFactor, InvalidOrder
 
@@ -199,16 +199,8 @@ class GroupType:
         for i in range(self.order):
             yield self.decode(i)
 
-    def divisor_list(self) -> list[int]:
-        return divisors(self.order)
-
     def __str__(self) -> str:
         return ",".join(str(f) for f in self.factors)
-
-
-def normalize_type(entries: Iterable[int]) -> GroupType:
-    """Build a GroupType from any list of cyclic orders (each >= 2)."""
-    return GroupType(tuple(entries))
 
 
 def cyclic(n: int) -> GroupType:
@@ -240,11 +232,6 @@ def parse_group(text: str) -> GroupType:
         except ValueError:
             raise InvalidFactor(f"factor {tok!r} in {text!r} is not an integer") from None
     return GroupType(tuple(parts))
-
-
-def format_group(group: GroupType) -> str:
-    """Inverse of parse_group: comma-joined invariant factors."""
-    return str(group)
 
 
 def _partitions(k: int) -> Iterator[tuple[int, ...]]:

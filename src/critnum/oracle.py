@@ -11,17 +11,13 @@ truth the search is tested against.  It enumerates subset sizes in
 descending order and stops at the first size that contains a qualifying
 incomplete set; sizes are never skipped, which keeps the scan valid for
 the generating-restricted variants where incompleteness alone is not
-downward-closed.  Work at a fixed size can be split across processes by
-partitioning the combination sequence into contiguous rank ranges.
-Chunk results are consumed in rank order, so values and witnesses do not
-depend on the worker count.
+downward-closed.  Both run serially in the calling process.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,8 +36,6 @@ from .sumsets import (
 
 DEFAULT_QUERY_BUDGET = 20
 DEFAULT_SWEEP_BUDGET = 16
-
-_PARALLEL_MIN_CANDIDATES = 4096
 
 
 @dataclass(frozen=True)
@@ -73,48 +67,8 @@ def _check_budget(n: int, budget: int | None, default: int) -> None:
         )
 
 
-def pool_size(workers: int) -> int:
-    """Processes for the literal scan's pool: at least 1, at most the CPU count.
-
-    Raises InvalidWorkers for a count below 1; a larger count than the
-    machine has CPUs is clamped, so no request starts more processes.
-    """
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise InvalidWorkers(f"worker count must be an integer >= 1, got {workers!r}")
-    return min(workers, os.cpu_count() or 1)
-
-
-def _scan_chunk(args: tuple) -> int | None:
-    """Scan one contiguous range of size-k combinations; first hit wins.
-
-    Module-level so process pools can pickle it.  Returns the bitmask of
-    the first qualifying incomplete set in the range, or None.
-    """
-    factors, mode, param, restrict, pool, k, start, stop = args
-    layout = layout_for(GroupType(factors))
-    full = layout.full
-    combos = itertools.islice(itertools.combinations(pool, k), start, stop)
-    for combo in combos:
-        bits = 0
-        for i in combo:
-            bits |= 1 << i
-        if mode == "hfold":
-            if hfold_bits(layout, bits, param) == full:
-                continue
-        elif mode == "interval":
-            if interval_bits(layout, bits, param) == full:
-                continue
-        else:
-            if subset_sums_bits(layout, bits) == full:
-                continue
-        if restrict and closure_bits(layout, bits) != full:
-            continue
-        return bits
-    return None
-
-
 def brute_critical_witness(
-    query: OracleQuery, *, budget: int | None = None, workers: int = 1
+    query: OracleQuery, *, budget: int | None = None
 ) -> tuple[int, GroupSubset | None]:
     """The critical value together with a largest qualifying incomplete set.
 
@@ -122,46 +76,27 @@ def brute_critical_witness(
     qualifies at all the value is 1 and the witness is None (or the empty
     set for the subset-sum kinds, where the empty set itself qualifies).
 
-    This is the literal scan over all subsets.  With workers > 1 (clamped
-    to the CPU count) the larger sizes are split over a process pool.
+    This is the literal scan over all subsets, largest size first; within
+    a size the first qualifying combination in index order wins.
     """
     group = query.group
     n = group.order
-    workers = pool_size(workers)
     _check_budget(n, budget, DEFAULT_QUERY_BUDGET)
-    mode = query.kind.mode
-    param = query.kind.param
-    restrict = query.restrict_generating
-    pool = tuple(range(1, n)) if query.exclude_zero else tuple(range(n))
-    min_k = 0 if mode == "sums" else 1
-    executor = None
-    try:
-        for k in range(len(pool), min_k - 1, -1):
-            total = math.comb(len(pool), k)
-            found = None
-            if workers > 1 and total >= _PARALLEL_MIN_CANDIDATES:
-                if executor is None:
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    executor = ProcessPoolExecutor(max_workers=workers)
-                chunks = workers * 4
-                bounds = [total * i // chunks for i in range(chunks + 1)]
-                argsets = [
-                    (group.factors, mode, param, restrict, pool, k, bounds[i], bounds[i + 1])
-                    for i in range(chunks)
-                    if bounds[i] < bounds[i + 1]
-                ]
-                for res in executor.map(_scan_chunk, argsets):
-                    if res is not None:
-                        found = res
-                        break
-            else:
-                found = _scan_chunk((group.factors, mode, param, restrict, pool, k, 0, total))
-            if found is not None:
-                return k + 1, GroupSubset(group, found)
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+    layout = layout_for(group)
+    full = layout.full
+    kind = query.kind
+    pool = range(1, n) if query.exclude_zero else range(n)
+    min_k = 0 if kind.mode == "sums" else 1
+    for k in range(len(pool), min_k - 1, -1):
+        for combo in itertools.combinations(pool, k):
+            bits = 0
+            for i in combo:
+                bits |= 1 << i
+            if _expansion(layout, kind, bits) == full:
+                continue
+            if query.restrict_generating and closure_bits(layout, bits) != full:
+                continue
+            return k + 1, GroupSubset(group, bits)
     return 1, None
 
 
@@ -336,21 +271,13 @@ def _recheck_witness(query: OracleQuery, layout, bits: int) -> None:
 def brute_critical(query: OracleQuery, *, budget: int | None = None, workers: int = 1) -> int:
     """The critical value, computed by `search_critical_witness`.
 
-    The search runs in the calling process.  `workers` is validated as for
-    `brute_critical_witness` but only sizes that scan's process pool; it
-    does not change this function's work.
+    The search runs in the calling process.  `workers` must be an integer
+    >= 1 (InvalidWorkers otherwise) but does not change the work.
     """
-    pool_size(workers)
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+        raise InvalidWorkers(f"worker count must be an integer >= 1, got {workers!r}")
     value, _ = search_critical_witness(query, budget=budget)
     return value
-
-
-def brute_cr(group: GroupType, *, budget: int | None = None, workers: int = 1) -> int:
-    return brute_critical(OracleQuery(group, CriticalKind("cr")), budget=budget, workers=workers)
-
-
-def brute_cr_star(group: GroupType, *, budget: int | None = None, workers: int = 1) -> int:
-    return brute_critical(OracleQuery(group, CriticalKind("cr_star")), budget=budget, workers=workers)
 
 
 def brute_max_sumfree(n: int, *, budget: int | None = None) -> int:

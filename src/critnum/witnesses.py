@@ -19,13 +19,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    ConditionViolated,
-    ConstructionInvariantViolated,
-    InvalidH,
-    InvalidS,
-)
-from .formulas import divisor_bound, max_incomplete_divisors
+from .errors import ConditionViolated, ConstructionInvariantViolated
+from .formulas import _check_h, _check_s, divisor_bound, max_incomplete_divisors
 from .groups import GroupType, divisors, is_prime
 from .quotients import (
     closure_bits,
@@ -95,16 +90,6 @@ class BoundCertificate:
             "generates": self.generates,
             "incomplete": self.incomplete,
         }
-
-
-def _check_h(h: int) -> None:
-    if not isinstance(h, int) or isinstance(h, bool) or h < 1:
-        raise InvalidH(f"fold count must be an integer >= 1, got {h!r}")
-
-
-def _check_s(s: int) -> None:
-    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-        raise InvalidS(f"interval length must be an integer >= 1, got {s!r}")
 
 
 def _hfold_witness_bits(group: GroupType, h: int) -> tuple[int, str]:

@@ -27,8 +27,6 @@ from critnum import (
     OracleQuery,
     abelian_types,
     best_interval_bound,
-    brute_cr,
-    brute_cr_star,
     brute_critical,
     brute_max_sumfree,
     critical_number,
@@ -37,7 +35,6 @@ from critnum import (
     generating_interval_critical_s3,
     generating_interval_critical_two_group,
     hfold_sumset,
-    interval_critical_number,
     hfold_witness,
     interval3_piecewise_value,
     interval_sumset,
@@ -166,8 +163,8 @@ def test_a07_subset_sum_critical_pair():
     for n in range(10, 15):
         for g in abelian_types(n):
             star, whole = subset_sum_critical_pair(g)
-            got_star = brute_cr_star(g)
-            got_whole = brute_cr(g)
+            got_star = brute_critical(OracleQuery(g, CriticalKind("cr_star")))
+            got_whole = brute_critical(OracleQuery(g, CriticalKind("cr")))
             cases += 1
             if (got_star, got_whole) != (star, whole):
                 failures.append(
@@ -341,7 +338,7 @@ def test_a12_search_matches_closed_forms_past_the_scan():
             for h in (2, 3, 4):
                 check(g, "chi_h", h, critical_number(n, h))
             for s in (1, 2):
-                check(g, "chi_interval", s, interval_critical_number(n, s))
+                check(g, "chi_interval", s, critical_number(n, s))
             if not g.is_elementary_two:
                 check(g, "chi_hat_interval", 3, generating_interval_critical_s3(g))
             if g.is_cyclic:

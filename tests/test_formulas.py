@@ -18,14 +18,12 @@ from critnum import (
     cyclic,
     divisor_bound,
     divisors,
-    generating_critical_number,
     generating_interval_critical_cyclic,
     generating_interval_critical_s3,
     generating_interval_critical_two_group,
     generating_interval_cyclic_divisors,
     interval3_branch_divisor,
     interval3_piecewise_value,
-    interval_critical_number,
     max_incomplete_divisors,
     max_incomplete_size,
     max_sumfree_size,
@@ -92,15 +90,14 @@ def test_critical_number_examples():
     for n in range(2, 40):
         for h in (1, 2, 3, 6):
             assert critical_number(n, h) == max_incomplete_size(n, h) + 1
-            assert generating_critical_number(n, h) == critical_number(n, h)
-            assert interval_critical_number(n, h) == critical_number(n, h)
+            assert max_incomplete_divisors(n, h)[0] + 1 == critical_number(n, h)
 
 
 def test_parameter_validation():
     with pytest.raises(InvalidH):
         critical_number(10, 0)
     with pytest.raises(InvalidS):
-        interval_critical_number(10, 0)
+        CriticalKind("chi_interval", 0)
     with pytest.raises(InvalidOrder):
         critical_number(1, 2)
     with pytest.raises(InvalidOrder):
@@ -231,7 +228,7 @@ def test_cyclic_interval_attaining_divisors():
 def test_cyclic_interval_never_exceeds_unrestricted():
     for n in range(2, 201):
         for s in range(1, 7):
-            assert generating_interval_critical_cyclic(n, s) <= interval_critical_number(n, s)
+            assert generating_interval_critical_cyclic(n, s) <= critical_number(n, s)
 
 
 def test_two_group_interval_formula():

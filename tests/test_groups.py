@@ -11,9 +11,7 @@ from critnum import (
     cyclic,
     divisors,
     factorize,
-    format_group,
     is_prime,
-    normalize_type,
     parse_group,
     smallest_prime_factor,
 )
@@ -51,7 +49,7 @@ def test_invariant_factor_normalization():
     assert GroupType((6, 4)).factors == (2, 12)
     assert GroupType((2, 2, 3)).factors == (2, 6)
     assert GroupType((2, 4)).factors == (2, 4)
-    assert normalize_type([6, 10]).factors == (2, 30)
+    assert GroupType([6, 10]).factors == (2, 30)
 
 
 def test_invalid_factors():
@@ -132,9 +130,9 @@ def test_parse_and_format():
     assert parse_group("12") == cyclic(12)
     assert parse_group("2,2,4").factors == (2, 2, 4)
     assert parse_group("4,2").factors == (2, 4)
-    assert format_group(GroupType((2, 4))) == "2,4"
-    assert format_group(cyclic(7)) == "7"
     assert str(GroupType((2, 4))) == "2,4"
+    assert str(cyclic(7)) == "7"
+    assert parse_group(str(GroupType((6, 10)))) == GroupType((6, 10))
     with pytest.raises(InvalidOrder):
         parse_group("0")
     with pytest.raises(InvalidOrder):

@@ -1,7 +1,5 @@
 """Exact oracle: the search against the literal scan, witnesses, budgets."""
 
-import os
-
 import pytest
 
 from critnum import (
@@ -16,15 +14,13 @@ from critnum import (
     abelian_types,
     brute_critical,
     brute_critical_witness,
-    brute_cr,
-    brute_cr_star,
     brute_max_sumfree,
     brute_quotient_types,
     critical_number,
     cyclic,
+    divisors,
     enumerate_subgroups,
     hfold_sumset,
-    interval_critical_number,
     interval_sumset,
     is_complete,
     is_generating,
@@ -34,7 +30,8 @@ from critnum import (
     subgroup_generated,
     subset_sums,
 )
-from critnum.oracle import _recheck_witness, pool_size
+from critnum.cli import main
+from critnum.oracle import _recheck_witness
 from critnum.sumsets import layout_for
 
 
@@ -143,7 +140,7 @@ def test_brute_matches_formula_small():
                 assert brute_critical(OracleQuery(g, CriticalKind("chi_h", h))) == critical_number(n, h)
             for s in (1, 2):
                 q = OracleQuery(g, CriticalKind("chi_interval", s))
-                assert brute_critical(q) == interval_critical_number(n, s)
+                assert brute_critical(q) == critical_number(n, s)
 
 
 def test_search_agrees_with_scan_on_small_grid():
@@ -209,34 +206,33 @@ def test_brute_critical_returns_search_value():
     assert brute_critical(q, budget=20, workers=2) == 9
 
 
-def test_pool_size_bounds_workers():
-    cpus = os.cpu_count() or 1
-    assert pool_size(1) == 1
-    assert pool_size(10**6) == cpus  # clamped; no process is started here
+def test_brute_critical_validates_workers():
+    q = OracleQuery(cyclic(6), CriticalKind("chi_h", 2))
     for bad in (0, -3, True, 1.5):
         with pytest.raises(InvalidWorkers):
-            pool_size(bad)
-    q = OracleQuery(cyclic(6), CriticalKind("chi_h", 2))
-    with pytest.raises(InvalidWorkers):
-        brute_critical_witness(q, workers=0)
-    with pytest.raises(InvalidWorkers):
-        brute_critical(q, workers=0)
+            brute_critical(q, workers=bad)
+    # any count >= 1 is accepted and starts no process
+    assert brute_critical(q, workers=1) == brute_critical(q, workers=10**6) == critical_number(6, 2)
 
 
-def test_worker_determinism():
-    # crosses the parallel threshold: C(16, 8) = 12870 candidates
-    q = OracleQuery(cyclic(16), CriticalKind("chi_h", 2))
-    v1, w1 = brute_critical_witness(q, workers=1)
-    v2, w2 = brute_critical_witness(q, workers=2)
-    assert (v1, w1) == (v2, w2)
-    assert v1 == critical_number(16, 2)
+def test_worker_determinism(capsys):
+    outputs = []
+    for workers in ("1", "2"):
+        argv = ["verify", "--quantity", "chi_hat_h", "--max-order", "16", "--h", "2..3", "--workers", workers]
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out.endswith("all agree\n")
 
 
 def test_brute_cr_examples():
-    assert brute_cr_star(cyclic(11)) == 6
-    assert brute_cr(cyclic(11)) == 7
-    assert brute_cr_star(cyclic(15)) == 7
-    assert brute_cr(cyclic(10)) == 6
+    def cr(tag, n):
+        return brute_critical(OracleQuery(cyclic(n), CriticalKind(tag)))
+
+    assert cr("cr_star", 11) == 6
+    assert cr("cr", 11) == 7
+    assert cr("cr_star", 15) == 7
+    assert cr("cr", 10) == 6
 
 
 def test_budget_guard():
@@ -283,7 +279,7 @@ def test_quotient_feasibility_matches_brute():
         for g in abelian_types(n):
             realized = brute_quotient_types(g)
             candidates = set()
-            for d in g.divisor_list():
+            for d in divisors(g.order):
                 if d >= 2:
                     candidates.update(abelian_types(d))
             for cand in candidates:

@@ -100,39 +100,69 @@ def brute_critical_witness(
     return 1, None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _multiples(factors: tuple[int, ...], k: int) -> tuple[int, ...]:
     """Flat index of k*x for every flat index x."""
     group = GroupType(factors)
     return tuple(_scalar_index(group, k, i) for i in range(group.order))
 
 
-@lru_cache(maxsize=None)
-def _anchor_representatives(factors: tuple[int, ...], fold: int) -> tuple[int, ...]:
-    """The least index of every orbit of g -> u*g + fold*t.
+def _anchor_generators(factors: tuple[int, ...], fold: int) -> list[list[int]]:
+    """Index permutations whose orbits `_anchor_representatives` merges.
 
-    u runs over the integers coprime to the exponent, so g -> u*g is an
-    automorphism; t runs over the group.  fold = 0 leaves the automorphisms
-    alone.  Both maps preserve what the search asks of an anchor: if A misses
-    g in its expansion then u*A misses u*g, and for the h-fold sumset over the
-    whole group A + t misses g + h*t.
+    Each adds m*x_i (or the constant fold) to one coordinate x_j:
+    - unit scalings x_i -> u*x_i, u coprime to f_i (j = i, m = u - 1);
+    - transvections e_i -> e_i + k*e_j for i != j, k = f_j / gcd(f_i, f_j),
+      so f_i*k*e_j = 0 and the map is an automorphism with inverse -k;
+    - when fold != 0, translations by fold*e_j.
     """
-    group = GroupType(factors)
-    layout = layout_for(group)
-    exponent = group.exponent
-    shifts = 0
-    for i in _multiples(factors, fold):
-        shifts |= 1 << i
-    units = [_multiples(factors, u) for u in range(1, exponent) if math.gcd(u, exponent) == 1]
-    seen = 0
-    reps = []
-    for g in range(group.order):
-        if seen >> g & 1:
-            continue
-        reps.append(g)
-        for times_u in units:
-            seen |= translate_bits(layout, shifts, times_u[g])
-    return tuple(reps)
+    n = math.prod(factors)
+    strides = [math.prod(factors[:j]) for j in range(len(factors))]
+    coords = [[x // s % f for x in range(n)] for s, f in zip(strides, factors)]
+
+    def adding(j: int, amounts) -> list[int]:
+        f, s = factors[j], strides[j]
+        return [x + ((c + a) % f - c) * s for x, (c, a) in enumerate(zip(coords[j], amounts))]
+
+    perms = []
+    for i, f in enumerate(factors):
+        units = [u for u in range(2, f) if math.gcd(u, f) == 1]
+        perms += [adding(i, [(u - 1) * c for c in coords[i]]) for u in units]
+        for j, fj in enumerate(factors):
+            if j != i:
+                k = fj // math.gcd(f, fj)
+                perms.append(adding(j, [k * c for c in coords[i]]))
+        if fold:
+            perms.append(adding(i, itertools.repeat(fold)))
+    return perms
+
+
+@lru_cache(maxsize=512)
+def _anchor_representatives(factors: tuple[int, ...], fold: int) -> tuple[int, ...]:
+    """The least index of every orbit of g -> sigma(g) + fold*t.
+
+    sigma runs over the automorphisms generated by `_anchor_generators`'
+    unit scalings and transvections, t over the group.  With fold = 0 there
+    is no translation, so zero is its own orbit and comes first.  The orbits
+    are merged by union-find over the generator permutations.  Both kinds of
+    map preserve what the search asks of an anchor: if A misses g in its
+    expansion then sigma(A) misses sigma(g), and for the h-fold sumset over
+    the whole group A + t misses g + h*t.  Whether the maps generate all of
+    Aut(G) changes how many anchors remain, never a value.
+    """
+    root = list(range(math.prod(factors)))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for perm in _anchor_generators(factors, fold):
+        for x, y in enumerate(perm):
+            a, b = find(x), find(y)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return tuple(x for x in range(len(root)) if find(x) == x)
 
 
 def _expansion(layout, kind: CriticalKind, bits: int) -> int:
@@ -144,7 +174,7 @@ def _expansion(layout, kind: CriticalKind, bits: int) -> int:
     return subset_sums_bits(layout, bits)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _singleton_hits(factors: tuple[int, ...], kind: CriticalKind) -> tuple[int, ...]:
     """Per element g, the mask of the elements y whose {y} expands onto g."""
     layout = layout_for(GroupType(factors))
@@ -167,9 +197,11 @@ def search_critical_witness(
     witness when no set qualifies; the empty set is a witness for the
     subset-sum kinds), but the witness may be a different extremal set.
 
-    For each anchor g, one per orbit of `_anchor_representatives`, a
-    depth-first search adds pool elements in index order and keeps the
-    layers D[k] = g - [0,k]A (interval kinds) or g - kA (h-fold kinds) for
+    For each anchor g, one per orbit of `_anchor_representatives` (the
+    automorphisms generated by per-coordinate unit scalings and
+    transvections, plus translations by param*t for the whole-group h-fold
+    kind), a depth-first search adds pool elements in index order and keeps
+    the layers D[k] = g - [0,k]A (interval kinds) or g - kA (h-fold kinds) for
     k < param, where the new set's layers are D'[0] = {g} and
     D'[k] = D[k] | (D'[k-1] - x).  The expansion of A + {y} reaches g exactly
     when j*y lies in D[param - j] for some 1 <= j <= param, so the remaining

@@ -38,6 +38,8 @@ from critnum import (
     hfold_witness,
     interval3_piecewise_value,
     interval_sumset,
+    is_complete,
+    is_generating,
     max_incomplete_size,
     max_sumfree_size,
     pairwise_sumset,
@@ -369,3 +371,22 @@ def test_a13_certificates_at_order_65536():
         failures.append(f"interval bound: bound {bound.bound}, witness size {bound.witness.size}, formula {want}")
     elapsed = time.monotonic() - start
     _finish("A13", f"h-fold witness and interval bound at Z{n}, h = s = {h}, in {elapsed:.1f}s", failures)
+
+
+def test_a14_search_past_the_unit_multiple_anchors():
+    # Non-cyclic groups, where automorphism orbits leave 4-6 anchors in
+    # place of the 16-20 that unit multiples alone would.
+    start = time.monotonic()
+    failures = []
+    groups = [GroupType((2, 2, 8)), GroupType((2, 4, 4)), GroupType((6, 6))]
+    for g in groups:
+        q = OracleQuery(g, CriticalKind("chi_hat_interval", 3))
+        got, witness = search_critical_witness(q, budget=g.order)
+        want = generating_interval_critical_s3(g)
+        if got != want:
+            failures.append(f"chi_hat_interval({g}, 3): search {got} vs formula {want}")
+        elif witness.size != got - 1 or is_complete(interval_sumset(witness, 3)) or not is_generating(witness):
+            failures.append(f"chi_hat_interval({g}, 3): witness {witness.to_hex()} does not qualify")
+    elapsed = time.monotonic() - start
+    scope = f"search vs s = 3 formula on {len(groups)} non-cyclic groups of order 32-36"
+    _finish("A14", f"{scope} in {elapsed:.1f}s", failures)

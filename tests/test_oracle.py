@@ -1,5 +1,8 @@
 """Exact oracle: the search against the literal scan, witnesses, budgets."""
 
+import itertools
+import math
+
 import pytest
 
 from critnum import (
@@ -7,6 +10,7 @@ from critnum import (
     BudgetExceeded,
     ConstructionInvariantViolated,
     CriticalKind,
+    GroupSubset,
     GroupType,
     InvalidOrder,
     InvalidWorkers,
@@ -31,8 +35,8 @@ from critnum import (
     subset_sums,
 )
 from critnum.cli import main
-from critnum.oracle import _recheck_witness
-from critnum.sumsets import layout_for
+from critnum.oracle import _anchor_generators, _anchor_representatives, _recheck_witness
+from critnum.sumsets import layout_for, translate_bits
 
 
 def _acceptance_grid_queries() -> list[OracleQuery]:
@@ -198,6 +202,131 @@ def test_search_witness_recheck_fails_closed():
     for bits in (layout.full, 0b010100, 0b101011):  # complete, non-generating, holds 0
         with pytest.raises(ConstructionInvariantViolated):
             _recheck_witness(q, layout, bits)
+
+
+def _basis(group: GroupType) -> list[int]:
+    return [group.encode([int(i == k) for i in range(group.rank)]) for k in range(group.rank)]
+
+
+def _fold_coset(group: GroupType, fold: int) -> set[int]:
+    """Indices of fold*t for every t: the translations the h-fold anchors allow."""
+    return {group.encode(group.scalar(fold, group.decode(t))) for t in range(group.order)}
+
+
+def test_anchor_generators_are_automorphisms():
+    # A bijection p with p(x + e_k) = p(x) + p(e_k) - p(0) for every x and
+    # basis element e_k is x -> sigma(x) + p(0) with sigma an automorphism
+    # (by induction over the e_k).  fold = 2 adds the translations by 2*e_j
+    # to the automorphisms of fold = 0.  Sums are composed from the tables
+    # x -> x + e_k, each built with `add_indices`.
+    for n in range(2, 65):
+        for g in abelian_types(n):
+            assert all(perm[0] == 0 for perm in _anchor_generators(g.factors, 0))
+            shifts = _fold_coset(g, 2)
+            basis = _basis(g)
+            steps = [[g.add_indices(x, e) for x in range(n)] for e in basis]
+
+            def plus(y):
+                table = list(range(n))
+                for step, count in zip(steps, g.decode(y)):
+                    for _ in range(count):
+                        table = [step[x] for x in table]
+                return table
+
+            for perm in _anchor_generators(g.factors, 2):
+                assert sorted(perm) == list(range(n)), g
+                assert perm[0] in shifts, g
+                back = plus(g.neg_index(perm[0]))
+                for e, step in zip(basis, steps):
+                    image = plus(perm[e])
+                    assert all(perm[step[x]] == back[image[perm[x]]] for x in range(n)), (g, perm)
+
+
+def _orbit_labels(group: GroupType, fold: int) -> list[int]:
+    """Least index of each element's orbit, by a closure over the generators."""
+    perms = _anchor_generators(group.factors, fold)
+    label = [-1] * group.order
+    for start in range(group.order):
+        if label[start] < 0:
+            label[start] = start
+            todo = [start]
+            while todo:
+                x = todo.pop()
+                for perm in perms:
+                    if label[perm[x]] < 0:
+                        label[perm[x]] = start
+                        todo.append(perm[x])
+    return label
+
+
+def test_anchors_coarsen_unit_multiple_orbits():
+    # The orbits the anchors used before, of g -> u*g + fold*t with u coprime
+    # to the exponent, computed as masks the way the old anchors were; none
+    # of them is split by the new generators.
+    for n in range(2, 33):
+        for g in abelian_types(n):
+            layout = layout_for(g)
+            units = [u for u in range(1, g.exponent) if math.gcd(u, g.exponent) == 1]
+            multiples = [[g.encode(g.scalar(u, g.decode(x))) for u in units] for x in range(n)]
+            for fold in (0, 2, 3):
+                label = _orbit_labels(g, fold)
+                assert _anchor_representatives(g.factors, fold) == tuple(sorted(set(label))), (g, fold)
+                shifts = sum(1 << t for t in _fold_coset(g, fold))
+                for x in range(n):
+                    old_orbit = 0
+                    for ux in multiples[x]:
+                        old_orbit |= translate_bits(layout, shifts, ux)
+                    assert {label[y] for y in GroupSubset(g, old_orbit).indices()} == {label[x]}, (g, fold, x)
+
+
+def _automorphisms(group: GroupType) -> list[list[int]]:
+    """Every automorphism as an index permutation, from all images of a basis."""
+    n = group.order
+    basis = _basis(group)
+    # x = prev + e_k, where k is x's lowest nonzero coordinate
+    steps = []
+    for x in range(1, n):
+        k = next(i for i, c in enumerate(group.decode(x)) if c)
+        steps.append((x, group.add_indices(x, group.neg_index(basis[k])), k))
+    zero = group.zero()
+    choices = [[y for y in range(n) if group.scalar(f, group.decode(y)) == zero] for f in group.factors]
+    autos = []
+    for images in itertools.product(*choices):
+        perm = [0] * n
+        for x, prev, k in steps:
+            perm[x] = group.add_indices(perm[prev], images[k])
+        if len(set(perm)) == n:
+            autos.append(perm)
+    return autos
+
+
+def test_anchors_are_automorphism_orbits():
+    # Brute force over Aut(G) on every type of order <= 16 but Z2^4, whose
+    # 2^16 basis images would take seconds (test_anchor_counts pins it).
+    checked = 0
+    for n in range(2, 17):
+        for g in abelian_types(n):
+            if g.factors == (2, 2, 2, 2):
+                continue
+            autos = _automorphisms(g)
+            orbits = {frozenset(a[x] for a in autos) for x in range(n)}
+            for fold in (0, 2, 3):
+                shifts = _fold_coset(g, fold)
+                least = {min(g.add_indices(y, t) for y in orbit for t in shifts) for orbit in orbits}
+                assert _anchor_representatives(g.factors, fold) == tuple(sorted(least)), (g, fold)
+            checked += 1
+    assert checked == 23
+
+
+def test_anchor_counts():
+    counts = {
+        (2, 2, 2, 2): 2, (2, 2, 2, 2, 2): 2, (2, 2, 4): 4, (4, 4): 3, (2, 8): 6, (2, 2, 2, 6): 4, (2, 2, 12): 8,
+    }
+    assert {f: len(_anchor_representatives(f, 0)) for f in counts} == counts
+    # the whole-group h-fold anchors also merge cosets of fold*G
+    assert _anchor_representatives((2, 8), 2) == (0, 1, 2)
+    assert _anchor_representatives((2, 2, 2, 2), 2) == (0, 1)
+    assert _anchor_representatives((6, 6), 3) == (0, 1)
 
 
 def test_brute_critical_returns_search_value():

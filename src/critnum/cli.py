@@ -261,10 +261,10 @@ def _passes(check) -> bool:
         return False
 
 
-def _quantity_rows(quantity, group, param, oracle_opts, swept):
+def _quantity_rows(quantity, group, param, budget, swept):
     """Rows for one (group, parameter) pair.
 
-    oracle_opts is None for formula-only commands, else (budget, workers).
+    budget is None for formula-only commands, else the oracle budget.
     Returns a list of (row, agree) with agree True/False/None; None marks
     report-only rows that never count toward the exit code.
     """
@@ -283,13 +283,12 @@ def _quantity_rows(quantity, group, param, oracle_opts, swept):
             "branch": branch,
         }
         agree = None
-        if oracle_opts:
-            budget, workers = oracle_opts
+        if budget is not None:
             if q.oracle == SUMFREE:
                 row["oracle"] = brute_max_sumfree(group.order, budget=budget)
             else:
                 kind = CriticalKind(q.oracle or tag, row_param)
-                row["oracle"] = brute_critical(OracleQuery(group, kind), budget=budget, workers=workers)
+                row["oracle"] = brute_critical(OracleQuery(group, kind), budget=budget)
             if check is not None:
                 row["witness_ok"] = _passes(check)
             if guarded:
@@ -350,7 +349,6 @@ def cmd_verify(args) -> int:
     params = _resolve_params(args, quantity)
     explicit = {parse_group(t).factors for t in (args.group or [])}
     budget = _resolve_budget(groups, args.budget_ack)
-    opts = (budget, args.workers)
     rows: list[dict] = []
     mismatches: list[dict] = []
     aborted: BudgetExceeded | None = None
@@ -359,7 +357,7 @@ def cmd_verify(args) -> int:
             break
         for param in params:
             try:
-                produced = _quantity_rows(quantity, group, param, opts, group.factors not in explicit)
+                produced = _quantity_rows(quantity, group, param, budget, group.factors not in explicit)
             except BudgetExceeded as exc:
                 aborted = exc
                 break

@@ -63,7 +63,7 @@ class BudgetExceeded(CritnumError):
 
 
 class InvalidWorkers(CritnumError):
-    """A worker count for the oracle's process pool is below 1."""
+    """A worker count is not an integer >= 1."""
 
 
 class ConstructionInvariantViolated(CritnumError):

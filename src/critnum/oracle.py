@@ -42,20 +42,12 @@ DEFAULT_SWEEP_BUDGET = 16
 class OracleQuery:
     """A single brute-force question: one group, one critical quantity.
 
-    The class flags are normalized from the kind, so a query built from a
-    generating-restricted kind always carries restrict_generating = True.
+    The kind says whether only generating sets count and whether zero is
+    left out of the domain.
     """
 
     group: GroupType
     kind: CriticalKind
-    restrict_generating: bool = False
-    exclude_zero: bool = False
-
-    def __post_init__(self) -> None:
-        if self.kind.restricts_to_generating and not self.restrict_generating:
-            object.__setattr__(self, "restrict_generating", True)
-        if self.kind.excludes_zero and not self.exclude_zero:
-            object.__setattr__(self, "exclude_zero", True)
 
 
 def _check_budget(n: int, budget: int | None, default: int) -> None:
@@ -85,7 +77,7 @@ def brute_critical_witness(
     layout = layout_for(group)
     full = layout.full
     kind = query.kind
-    pool = range(1, n) if query.exclude_zero else range(n)
+    pool = range(1, n) if kind.excludes_zero else range(n)
     min_k = 0 if kind.mode == "sums" else 1
     for k in range(len(pool), min_k - 1, -1):
         for combo in itertools.combinations(pool, k):
@@ -94,7 +86,7 @@ def brute_critical_witness(
                 bits |= 1 << i
             if _expansion(layout, kind, bits) == full:
                 continue
-            if query.restrict_generating and closure_bits(layout, bits) != full:
+            if kind.restricts_to_generating and closure_bits(layout, bits) != full:
                 continue
             return k + 1, GroupSubset(group, bits)
     return 1, None
@@ -220,21 +212,21 @@ def search_critical_witness(
     layout = layout_for(group)
     full = layout.full
     neg = layout.neg_index
-    mode = query.kind.mode
-    param = query.kind.param
-    restrict = query.restrict_generating
-    pool = full ^ 1 if query.exclude_zero else full
-    whole_group_hfold = mode == "hfold" and not restrict and not query.exclude_zero
-    anchors = _anchor_representatives(factors, param if whole_group_hfold else 0)
+    kind = query.kind
+    mode = kind.mode
+    param = kind.param
+    restrict = kind.restricts_to_generating
+    pool = full ^ 1 if kind.excludes_zero else full
+    anchors = _anchor_representatives(factors, param if kind.tag == "chi_h" else 0)
     if mode != "hfold":
         anchors = anchors[1:]  # drop 0, which lies in every [0,s]A and Sum(A)
-    alone = _singleton_hits(factors, query.kind)
+    alone = _singleton_hits(factors, kind)
     # Candidate y is dropped when j*y lands in layer param - j: j = 1 is a
     # mask operation, j = param meets the constant layer {g} and is settled
     # at the root by `alone`, the others are checked element by element.
     middle = [(param - j, _multiples(factors, j)) for j in range(2, param)] if param else []
 
-    best = 0 if mode == "sums" and not restrict else -1
+    best = 0 if mode == "sums" else -1
     best_bits = 0
 
     def descend(bits: int, size: int, cand: int, layers: list[int]) -> None:
@@ -290,9 +282,9 @@ def _recheck_witness(query: OracleQuery, layout, bits: int) -> None:
     problems = []
     if _expansion(layout, query.kind, bits) == layout.full:
         problems.append("its expansion covers the group")
-    if query.restrict_generating and closure_bits(layout, bits) != layout.full:
+    if query.kind.restricts_to_generating and closure_bits(layout, bits) != layout.full:
         problems.append("it does not generate")
-    if query.exclude_zero and bits & 1:
+    if query.kind.excludes_zero and bits & 1:
         problems.append("it contains zero")
     if problems:
         raise ConstructionInvariantViolated(

@@ -66,7 +66,7 @@ class Layout:
         self.neg_index = tuple(neg)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _layout_for_factors(factors: tuple[int, ...]) -> Layout:
     return Layout(factors)
 
@@ -113,17 +113,11 @@ def hfold_bits(layout: Layout, bits: int, h: int) -> int:
 
 
 def interval_bits(layout: Layout, bits: int, s: int) -> int:
-    """Mask of the union of the 0-fold through s-fold sumsets."""
-    if s == 0:
-        return 1
-    acc = 1 | bits
-    cur = bits
-    for _ in range(s - 1):
-        if acc == layout.full:
-            return acc
-        cur = pairwise_bits(layout, cur, bits)
-        acc |= cur
-    return acc
+    """Mask of the union of the 0-fold through s-fold sumsets.
+
+    That union is the s-fold sumset of the set with zero added.
+    """
+    return hfold_bits(layout, bits | 1, s) if s else 1
 
 
 def subset_sums_bits(layout: Layout, bits: int) -> int:

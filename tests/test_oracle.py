@@ -79,22 +79,11 @@ def _witness_problems(query: OracleQuery, value: int, witness) -> list[str]:
         covered = subset_sums(witness)
     if is_complete(covered):
         problems.append("expansion misses no element")
-    if query.restrict_generating and not is_generating(witness):
+    if query.kind.restricts_to_generating and not is_generating(witness):
         problems.append("witness does not generate")
-    if query.exclude_zero and witness.contains_index(0):
+    if query.kind.excludes_zero and witness.contains_index(0):
         problems.append("witness contains zero")
     return problems
-
-
-def test_query_flag_normalization():
-    q = OracleQuery(cyclic(6), CriticalKind("chi_hat_h", 2))
-    assert q.restrict_generating
-    assert not q.exclude_zero
-    q = OracleQuery(cyclic(6), CriticalKind("cr_star"))
-    assert q.exclude_zero
-    assert not q.restrict_generating
-    q = OracleQuery(cyclic(6), CriticalKind("chi_h", 2))
-    assert not q.restrict_generating and not q.exclude_zero
 
 
 def test_brute_hfold_example():
@@ -181,27 +170,30 @@ def test_search_matches_scan_on_acceptance_grids():
 
 
 def test_search_matches_scan_with_query_flags():
-    # every kind with and without the generating restriction and zero exclusion
+    # every kind, so every combination of generating restriction and zero
+    # exclusion that a kind carries
     for n in range(2, 11):
         for g in abelian_types(n):
             for tag in KIND_TAGS:
                 params = (None,) if tag in ("cr", "cr_star") else (1, 2, 3)
                 for param in params:
-                    for restrict in (False, True):
-                        for exclude in (False, True):
-                            q = OracleQuery(g, CriticalKind(tag, param), restrict, exclude)
-                            value, witness = search_critical_witness(q)
-                            assert value == brute_critical_witness(q)[0], q
-                            assert _witness_problems(q, value, witness) == [], q
+                    q = OracleQuery(g, CriticalKind(tag, param))
+                    value, witness = search_critical_witness(q)
+                    assert value == brute_critical_witness(q)[0], q
+                    assert _witness_problems(q, value, witness) == [], q
 
 
 def test_search_witness_recheck_fails_closed():
-    q = OracleQuery(cyclic(6), CriticalKind("chi_hat_h", 2), exclude_zero=True)
+    q = OracleQuery(cyclic(6), CriticalKind("chi_hat_h", 2))
     layout = layout_for(q.group)
     _recheck_witness(q, layout, 0b101010)  # {1, 3, 5}: generates, misses 0
-    for bits in (layout.full, 0b010100, 0b101011):  # complete, non-generating, holds 0
+    for bits in (layout.full, 0b010100):  # complete, non-generating
         with pytest.raises(ConstructionInvariantViolated):
             _recheck_witness(q, layout, bits)
+    q = OracleQuery(cyclic(6), CriticalKind("cr_star"))
+    _recheck_witness(q, layout, 0b000010)  # {1}: sums {0, 1}
+    with pytest.raises(ConstructionInvariantViolated):
+        _recheck_witness(q, layout, 0b000011)  # {0, 1}: holds 0
 
 
 def _basis(group: GroupType) -> list[int]:

@@ -38,6 +38,26 @@ def test_hfold_witness_product_branch():
     assert cert.branch == "product"
 
 
+def test_product_branch_matches_coordinate_definition():
+    # coordinate i in 1..(fi-1)/h, lower coordinates free, higher ones zero
+    cases = 0
+    for n in range(2, 65):
+        for g in abelian_types(n):
+            for h in range(1, 9):
+                cert = hfold_witness(g, h)
+                if cert.branch != "product":
+                    continue
+                cases += 1
+                want = set()
+                for idx in range(n):
+                    x = g.decode(idx)
+                    for i, f in enumerate(g.factors):
+                        if 1 <= x[i] <= (f - 1) // h and not any(x[i + 1:]):
+                            want.add(idx)
+                assert set(cert.subset.indices()) == want, (g, h)
+    assert cases == 125
+
+
 def test_hfold_witness_quotient_branch():
     g = GroupType((2, 4))
     cert = hfold_witness(g, 3)
@@ -115,6 +135,24 @@ def test_best_interval_bound_rank_four():
     assert cert.c_vector == (1, 1, 1)
     assert cert.witness.size == 8
     assert cert.generates and cert.incomplete
+
+
+def test_bound_pattern_matches_coordinate_definition():
+    # the preimage of {0} and y*e_j (1 <= y <= cj) in the top-aligned quotient
+    for n in range(2, 17):
+        for g in abelian_types(n):
+            for s in range(1, 5):
+                cert = best_interval_bound(g, s)
+                if cert.is_trivial:
+                    continue
+                ds, cs = cert.quotient_type, cert.c_vector
+                want = set()
+                for idx in range(n):
+                    q = [x % d for x, d in zip(g.decode(idx)[g.rank - len(ds):], ds)]
+                    moved = [(j, y) for j, y in enumerate(q) if y]
+                    if not moved or (len(moved) == 1 and moved[0][1] <= cs[moved[0][0]]):
+                        want.add(idx)
+                assert set(cert.witness.indices()) == want, (g, s)
 
 
 def test_best_interval_bound_trivial_cases():

@@ -16,6 +16,7 @@ the kernels before the certificate is returned.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -166,7 +167,8 @@ def interval_witness(group: GroupType, s: int) -> WitnessCertificate:
     _check_s(s)
     base = hfold_witness(group, s)
     layout = layout_for(group)
-    bits = translate_bits(layout, base.subset.bits, layout.neg_index[base.subset.indices()[0]])
+    low = base.subset.bits & -base.subset.bits
+    bits = translate_bits(layout, base.subset.bits, layout.neg_index[low.bit_length() - 1])
     size = base.claimed_size
     generates = _verified(f"interval_witness(s={s})", group, bits, size, interval_bits, s, generating=False)
     subset = GroupSubset(group, bits)
@@ -213,6 +215,43 @@ def interval_bound_witness(
     return BoundCertificate(group, s, ds, cs, bound, witness, True, True)
 
 
+def _count_options(d: int) -> list[tuple[int, int]]:
+    """Pairs (c, ceil((d-1)/c)) for the largest c in [1, d-1] with each ceiling.
+
+    A smaller c with the same ceiling meets the same hypothesis with a
+    smaller bound, so only these c can be best.  Listed by increasing c.
+    """
+    top = d - 1
+    options = []
+    c = top
+    while c >= 1:
+        u = -(-top // c)
+        options.append((c, u))
+        # the largest c with a ceiling above u
+        c = (top - 1) // u
+    return options[::-1]
+
+
+@functools.lru_cache(maxsize=1024)
+def _best_counts(ds: tuple[int, ...], need: int) -> tuple[int, tuple[int, ...]] | None:
+    """The least key (-sum(cs), cs) over c-vectors meeting the hypothesis.
+
+    The hypothesis is sum(ceil((di-1)/ci)) >= need with 1 <= ci <= di - 1.
+    The recursion runs over the first coordinate and the need left for the
+    rest: a tail that is best for its remaining need is best within every
+    vector that ends in it.  Returns None when no vector meets the
+    hypothesis.
+    """
+    if not ds:
+        return (0, ()) if need == 0 else None
+    keys = []
+    for c, u in _count_options(ds[0]):
+        rest = _best_counts(ds[1:], max(need - u, 0))
+        if rest is not None:
+            keys.append((rest[0] - c, (c,) + rest[1]))
+    return min(keys, default=None)
+
+
 def best_interval_bound(group: GroupType, s: int) -> BoundCertificate:
     """Search all quotient patterns for the best coset lower bound.
 
@@ -220,8 +259,11 @@ def best_interval_bound(group: GroupType, s: int) -> BoundCertificate:
     the t top invariant factors and keep those `quotient_type_feasible`
     accepts.  The best bound wins; ties are broken toward the smallest
     quotient order, then the smallest c-vector, then the smallest type, a
-    total order, so results are deterministic.  When no pattern satisfies
-    the hypothesis the trivial certificate (bound 1, no witness) is returned.
+    total order, so results are deterministic.  For each type only the
+    c-vector of largest sum can win, and of those the least one, which
+    `_best_counts` finds without listing every c-vector.  When no pattern
+    satisfies the hypothesis the trivial certificate (bound 1, no witness)
+    is returned.
     """
     _check_s(s)
     n = group.order
@@ -231,14 +273,15 @@ def best_interval_bound(group: GroupType, s: int) -> BoundCertificate:
         for ds in itertools.product(*slots):
             if not quotient_type_feasible(group, ds):
                 continue
+            found = _best_counts(ds, s + 1)
+            if found is None:
+                continue
+            cs = found[1]
             d = math.prod(ds)
-            for cs in itertools.product(*[range(1, di) for di in ds]):
-                if sum((di - 1 + ci - 1) // ci for ci, di in zip(cs, ds)) < s + 1:
-                    continue
-                bound = (1 + sum(cs)) * (n // d) + 1
-                key = (-bound, d, cs, ds)
-                if best is None or key < best:
-                    best = key
+            bound = (1 + sum(cs)) * (n // d) + 1
+            key = (-bound, d, cs, ds)
+            if best is None or key < best:
+                best = key
     if best is None:
         return BoundCertificate(group, s, (), (), 1, None, None, None)
     return interval_bound_witness(group, best[3], best[2], s)

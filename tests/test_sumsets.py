@@ -1,16 +1,19 @@
 """Bit-vector subsets and the sumset kernels, checked against naive loops."""
 
+import functools
 import itertools
 import random
 
 import pytest
 
+import critnum.sumsets
 from critnum import (
     EmptySetError,
     GroupSubset,
     GroupType,
     InvalidElement,
     InvalidH,
+    InvalidOrder,
     InvalidS,
     SpecMismatch,
     abelian_types,
@@ -21,18 +24,34 @@ from critnum import (
     pairwise_sumset,
     subset_sums,
 )
-from critnum.sumsets import layout_for, translate_bits
+from critnum.groups import divisors
+from critnum.quotients import lift_preimage, quotient_spec
+from critnum.sumsets import (
+    MAX_LAYOUT_ORDER,
+    Layout,
+    axis_periods,
+    hfold_bits,
+    interval_bits,
+    layout_for,
+    transversal_bits,
+    translate_bits,
+)
 
 GROUPS = [cyclic(7), cyclic(12), GroupType((2, 4)), GroupType((3, 3)), GroupType((2, 2, 3))]
 
 
+@functools.cache
+def _add(group, x, y):
+    return group.add(x, y)
+
+
 def naive_hfold(group, elems, h):
-    # definition-literal: sums of h not-necessarily-distinct elements
-    return {
-        # fold the tuple with group.add
-        _sum(group, combo)
-        for combo in itertools.product(elems, repeat=h)
-    }
+    # definition-literal: sums of h not-necessarily-distinct elements, built
+    # one term at a time with group.add
+    out = {group.zero()}
+    for _ in range(h):
+        out = {_add(group, x, a) for x in out for a in elems}
+    return out
 
 
 def _sum(group, combo):
@@ -55,6 +74,10 @@ def naive_subset_sums(group, elems):
         for combo in itertools.combinations(elems, r):
             out.add(_sum(group, combo))
     return out
+
+
+def small_types(max_order):
+    return [g for n in range(2, max_order + 1) for g in abelian_types(n)]
 
 
 def random_subsets(group, count, seed):
@@ -105,6 +128,85 @@ def test_interval_matches_naive(group):
             assert got == naive_interval(group, elems, s)
 
 
+def periodic_sets(group, seed):
+    # preimages of random quotient masks at every divisor: unions of cosets,
+    # up to just over half the group, where the pigeonhole rule starts
+    rng = random.Random(seed)
+    for d in divisors(group.order)[1:]:
+        spec = quotient_spec(group, d)
+        for _ in range(2):
+            size = rng.randint(1, d // 2 + 1)
+            pattern = GroupSubset.from_indices(spec.quotient, rng.sample(range(d), size))
+            yield lift_preimage(spec, pattern)
+
+
+@pytest.mark.parametrize("group", small_types(36), ids=str)
+def test_periodic_sets_match_naive(group):
+    layout = layout_for(group)
+    for a in periodic_sets(group, seed=group.order):
+        elems = list(a.elements())
+        for h in (1, 2, 3, 5):
+            got = hfold_bits(layout, a.bits, h)
+            assert set(GroupSubset(group, got).elements()) == naive_hfold(group, elems, h), (a, h)
+        for s in range(4):
+            got = interval_bits(layout, a.bits, s)
+            assert set(GroupSubset(group, got).elements()) == naive_interval(group, elems, s), (a, s)
+
+
+def _axis_step(group, i, t):
+    return tuple(t if j == i else 0 for j in range(group.rank))
+
+
+@pytest.mark.parametrize("group", small_types(36), ids=str)
+def test_axis_periods_are_the_axis_stabilizer(group):
+    layout = layout_for(group)
+    sets = list(periodic_sets(group, seed=3 * group.order))
+    sets += list(random_subsets(group, 8, seed=5 * group.order))
+    for a in sets:
+        elems = set(a.elements())
+        # brute force: the least t >= 1 with A + t*e_i = A, trying every t
+        want = tuple(
+            next(t for t in range(1, f + 1)
+                 if {group.add(x, _axis_step(group, i, t % f)) for x in elems} == elems)
+            for i, f in enumerate(group.factors)
+        )
+        assert axis_periods(layout, a.bits) == want, a
+        # the transversal keeps the elements of A with every x_i < m_i
+        kept = {x for x in elems if all(c < m for c, m in zip(x, want))}
+        assert set(GroupSubset(group, transversal_bits(layout, a.bits)).elements()) == kept, a
+
+
+@pytest.mark.parametrize("group", small_types(24), ids=str)
+def test_large_sets_fill_the_group(group, monkeypatch):
+    layout = layout_for(group)
+    whole = set(group.elements())
+    rng = random.Random(group.order)
+    large = [
+        GroupSubset.from_indices(group, rng.sample(range(group.order), size))
+        for size in range(group.order // 2 + 1, group.order + 1)
+    ]
+    for a in large:
+        assert naive_hfold(group, list(a.elements()), 2) == whole
+    # once |A| > n/2 the kernels answer without adding a single fold
+    def no_fold(*args):
+        raise AssertionError("pairwise_bits called on a set larger than half the group")
+
+    monkeypatch.setattr(critnum.sumsets, "pairwise_bits", no_fold)
+    for a in large:
+        for h in (2, 3, 5):
+            assert hfold_bits(layout, a.bits, h) == layout.full
+            assert interval_bits(layout, a.bits, h) == layout.full
+
+
+def test_layout_refuses_orders_above_the_limit():
+    assert MAX_LAYOUT_ORDER == 1 << 18
+    for factors in ((MAX_LAYOUT_ORDER + 1,), (2, MAX_LAYOUT_ORDER)):
+        with pytest.raises(InvalidOrder, match=str(MAX_LAYOUT_ORDER)):
+            Layout(factors)
+    with pytest.raises(InvalidOrder):
+        hfold_sumset(GroupSubset.from_indices(cyclic(1 << 20), [1]), 2)
+
+
 def test_interval_zero_fold():
     g = cyclic(5)
     a = GroupSubset.from_indices(g, [2, 3])
@@ -145,10 +247,6 @@ def test_fold_of_singleton_and_zero():
         assert hfold_sumset(zero_only, h).bits == zero_only.bits
     one = GroupSubset.from_elements(g, [(1, 1)])
     assert set(hfold_sumset(one, 2).elements()) == {(0, 2)}
-
-
-def small_types(max_order):
-    return [g for n in range(2, max_order + 1) for g in abelian_types(n)]
 
 
 @pytest.mark.parametrize("group", small_types(32), ids=str)

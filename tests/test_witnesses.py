@@ -1,5 +1,8 @@
 """Extremal-set constructions and quotient-coset lower-bound certificates."""
 
+import itertools
+import math
+
 import pytest
 
 from critnum import (
@@ -22,6 +25,8 @@ from critnum import (
     max_incomplete_size,
     subgroup_generated,
 )
+from critnum.groups import divisors
+from critnum.quotients import quotient_type_feasible
 
 
 def test_hfold_witness_prime_branch():
@@ -153,6 +158,32 @@ def test_bound_pattern_matches_coordinate_definition():
                     if not moved or (len(moved) == 1 and moved[0][1] <= cs[moved[0][0]]):
                         want.add(idx)
                 assert set(cert.witness.indices()) == want, (g, s)
+
+
+def test_best_interval_bound_matches_enumeration():
+    # the literal search: every feasible type, every c-vector meeting the
+    # ceiling hypothesis, keyed (-bound, d, cs, ds)
+    cases = 0
+    for n in range(2, 97):
+        for g in abelian_types(n):
+            for s in range(1, 8):
+                cases += 1
+                best = None
+                for t in range(1, g.rank + 1):
+                    for ds in itertools.product(*[divisors(f)[1:] for f in g.factors[-t:]]):
+                        if not quotient_type_feasible(g, ds):
+                            continue
+                        d = math.prod(ds)
+                        for cs in itertools.product(*[range(1, di) for di in ds]):
+                            if sum((di - 1 + ci - 1) // ci for ci, di in zip(cs, ds)) >= s + 1:
+                                key = (-((1 + sum(cs)) * (n // d) + 1), d, cs, ds)
+                                best = key if best is None else min(best, key)
+                cert = best_interval_bound(g, s)
+                if best is None:
+                    assert cert.is_trivial, (g, s)
+                else:
+                    assert (cert.bound, cert.quotient_type, cert.c_vector) == (-best[0], best[3], best[2])
+    assert cases == 1225
 
 
 def test_best_interval_bound_trivial_cases():

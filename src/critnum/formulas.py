@@ -24,7 +24,7 @@ from .errors import (
     WrongGroupClass,
     OutsideValidatedDomain,
 )
-from .groups import GroupType, divisors, factorize, is_prime, smallest_prime_factor
+from .groups import GroupType, _is_int, divisors, factorize, is_prime, smallest_prime_factor
 
 KIND_TAGS = ("chi_h", "chi_interval", "chi_hat_h", "chi_hat_interval", "cr", "cr_star")
 
@@ -71,17 +71,17 @@ class CriticalKind:
 
 
 def _check_h(h: int) -> None:
-    if not isinstance(h, int) or isinstance(h, bool) or h < 1:
+    if not _is_int(h) or h < 1:
         raise InvalidH(f"fold count must be an integer >= 1, got {h!r}")
 
 
 def _check_s(s: int) -> None:
-    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
+    if not _is_int(s) or s < 1:
         raise InvalidS(f"interval length must be an integer >= 1, got {s!r}")
 
 
 def _check_order(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+    if not _is_int(n) or n < 2:
         raise InvalidOrder(f"group order must be an integer >= 2, got {n!r}")
 
 
@@ -92,18 +92,16 @@ def divisor_bound(n: int, d: int, h: int) -> int:
     infinity, so d = 1 contributes 0.
     """
     _check_h(h)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InvalidOrder(f"order must be an integer >= 1, got {n!r}")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1 or n % d:
+    if not _is_int(d) or d < 1 or n % d:
         raise InvalidDivisor(f"{d!r} is not a positive divisor of {n}")
     return ((d - 2) // h + 1) * (n // d)
 
 
 def max_incomplete_size(n: int, h: int) -> int:
     """Largest size of an h-incomplete subset in any group of order n."""
-    _check_order(n)
-    _check_h(h)
-    return max(divisor_bound(n, d, h) for d in divisors(n))
+    return max_incomplete_divisors(n, h)[0]
 
 
 def max_incomplete_divisors(n: int, h: int) -> tuple[int, tuple[int, ...]]:
@@ -239,12 +237,7 @@ def generating_interval_critical_cyclic(n: int, s: int) -> int:
     Returns 1 when n <= s+1 (every generating subset is complete), and
     otherwise the divisor bound maximized over divisors d >= s+2.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidOrder(f"order must be an integer >= 1, got {n!r}")
-    _check_s(s)
-    if n <= s + 1:
-        return 1
-    return max(divisor_bound(n, d, s) for d in divisors(n) if d >= s + 2) + 1
+    return generating_interval_cyclic_divisors(n, s)[0]
 
 
 def generating_interval_cyclic_divisors(n: int, s: int) -> tuple[int, tuple[int, ...]]:
@@ -253,11 +246,14 @@ def generating_interval_cyclic_divisors(n: int, s: int) -> tuple[int, tuple[int,
     The divisor tuple is empty exactly on the small-order branch where the
     value is 1 and no divisor contributes.
     """
-    value = generating_interval_critical_cyclic(n, s)
+    if not _is_int(n) or n < 1:
+        raise InvalidOrder(f"order must be an integer >= 1, got {n!r}")
+    _check_s(s)
     if n <= s + 1:
-        return value, ()
-    eligible = [d for d in divisors(n) if d >= s + 2]
-    return value, tuple(d for d in eligible if divisor_bound(n, d, s) + 1 == value)
+        return 1, ()
+    vals = [(divisor_bound(n, d, s) + 1, d) for d in divisors(n) if d >= s + 2]
+    value = max(v for v, _ in vals)
+    return value, tuple(d for v, d in vals if v == value)
 
 
 def generating_interval_critical_two_group(r: int, s: int) -> int:
@@ -266,9 +262,9 @@ def generating_interval_critical_two_group(r: int, s: int) -> int:
     Proven for s >= 2.  Returns 1 when the rank r is at most s, and
     (s+2) * 2^(r-s-1) + 1 otherwise.
     """
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+    if not _is_int(r) or r < 1:
         raise InvalidOrder(f"rank must be an integer >= 1, got {r!r}")
-    if not isinstance(s, int) or isinstance(s, bool) or s < 2:
+    if not _is_int(s) or s < 2:
         raise OutsideTheoremDomain(f"rank formula needs interval length >= 2, got {s!r}")
     if r <= s:
         return 1

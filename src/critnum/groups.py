@@ -18,6 +18,11 @@ from typing import Iterator, Sequence
 from .errors import InvalidElement, InvalidFactor, InvalidOrder
 
 
+def _is_int(x) -> bool:
+    """An int but not a bool: the type test every argument guard shares."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}."""
     if not isinstance(n, int) or n < 1:
@@ -50,18 +55,7 @@ def divisors(n: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and smallest_prime_factor(n) == n
 
 
 def smallest_prime_factor(n: int) -> int:
@@ -115,7 +109,7 @@ class GroupType:
         if not fs:
             raise InvalidFactor("a group needs at least one factor")
         for f in fs:
-            if not isinstance(f, int) or isinstance(f, bool) or f < 2:
+            if not _is_int(f) or f < 2:
                 raise InvalidFactor(f"factor {f!r} is not an integer >= 2")
         ok_chain = all(fs[i + 1] % fs[i] == 0 for i in range(len(fs) - 1))
         if not ok_chain:
@@ -152,7 +146,7 @@ class GroupType:
         if len(t) != len(self.factors):
             raise InvalidElement(f"{t!r} has {len(t)} coordinates, group has rank {self.rank}")
         for c, f in zip(t, self.factors):
-            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < f:
+            if not _is_int(c) or not 0 <= c < f:
                 raise InvalidElement(f"coordinate {c!r} out of range for factor {f}")
         return t
 
@@ -179,7 +173,7 @@ class GroupType:
         return idx
 
     def decode(self, index: int) -> tuple[int, ...]:
-        if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < self.order:
+        if not _is_int(index) or not 0 <= index < self.order:
             raise InvalidElement(f"index {index!r} out of range for order {self.order}")
         coords = []
         x = index
@@ -187,12 +181,6 @@ class GroupType:
             x, c = divmod(x, f)
             coords.append(c)
         return tuple(coords)
-
-    def add_indices(self, i: int, j: int) -> int:
-        return self.encode(self.add(self.decode(i), self.decode(j)))
-
-    def neg_index(self, i: int) -> int:
-        return self.encode(self.neg(self.decode(i)))
 
     def elements(self) -> Iterator[tuple[int, ...]]:
         """All elements in index order."""
@@ -205,7 +193,7 @@ class GroupType:
 
 def cyclic(n: int) -> GroupType:
     """The cyclic group of order n >= 2."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+    if not _is_int(n) or n < 2:
         raise InvalidOrder(f"cyclic group order must be an integer >= 2, got {n!r}")
     return GroupType((n,))
 
@@ -255,7 +243,7 @@ def abelian_types(n: int) -> list[GroupType]:
     Classes correspond to a choice of partition of the exponent of each
     prime in n.  Sorted by invariant-factor tuple for deterministic sweeps.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+    if not _is_int(n) or n < 2:
         raise InvalidOrder(f"abelian_types needs an integer order >= 2, got {n!r}")
     primes = sorted(factorize(n).items())
     per_prime: list[list[tuple[int, ...]]] = [list(_partitions(e)) for _, e in primes]

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .errors import BudgetExceeded, ConstructionInvariantViolated, InvalidOrder, InvalidWorkers
 from .formulas import CriticalKind
-from .groups import GroupType, factorize
+from .groups import GroupType, _is_int
 from .quotients import closure_bits
 from .sumsets import (
     GroupSubset,
@@ -50,8 +50,8 @@ class OracleQuery:
     kind: CriticalKind
 
 
-def _check_budget(n: int, budget: int | None, default: int) -> None:
-    limit = default if budget is None else budget
+def _check_budget(n: int, budget: int | None) -> None:
+    limit = DEFAULT_QUERY_BUDGET if budget is None else budget
     if n > limit:
         raise BudgetExceeded(
             f"group order {n} exceeds the oracle budget {limit}; "
@@ -73,7 +73,7 @@ def brute_critical_witness(
     """
     group = query.group
     n = group.order
-    _check_budget(n, budget, DEFAULT_QUERY_BUDGET)
+    _check_budget(n, budget)
     layout = layout_for(group)
     full = layout.full
     kind = query.kind
@@ -94,9 +94,13 @@ def brute_critical_witness(
 
 @lru_cache(maxsize=512)
 def _multiples(factors: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Flat index of k*x for every flat index x."""
-    group = GroupType(factors)
-    return tuple(_scalar_index(group, k, i) for i in range(group.order))
+    """Flat index of k*x for every flat index x, one coordinate at a time."""
+    table = [0]
+    stride = 1
+    for f in factors:
+        table = [(k * c % f) * stride + prev for c in range(f) for prev in table]
+        stride *= f
+    return tuple(table)
 
 
 def _anchor_generators(factors: tuple[int, ...], fold: int) -> list[list[int]]:
@@ -168,15 +172,17 @@ def _expansion(layout, kind: CriticalKind, bits: int) -> int:
 
 @lru_cache(maxsize=512)
 def _singleton_hits(factors: tuple[int, ...], kind: CriticalKind) -> tuple[int, ...]:
-    """Per element g, the mask of the elements y whose {y} expands onto g."""
-    layout = layout_for(GroupType(factors))
-    hits = [0] * layout.order
-    for y in range(layout.order):
-        covered = _expansion(layout, kind, 1 << y)
-        while covered:
-            low = covered & -covered
-            covered ^= low
-            hits[low.bit_length() - 1] |= 1 << y
+    """Per element g, the mask of the elements y whose {y} expands onto g.
+
+    {y} expands to {h*y} (h-fold), {0, y, ..., s*y} (interval) or {0, y}
+    (sums), so the hits are read off the tables of multiples.
+    """
+    # {0, y} = [0,1]{y}, so the sums kind reads the multiples 0 and 1
+    folds = [kind.param] if kind.mode == "hfold" else range((kind.param or 1) + 1)
+    hits = [0] * math.prod(factors)
+    for j in folds:
+        for y, jy in enumerate(_multiples(factors, j)):
+            hits[jy] |= 1 << y
     return tuple(hits)
 
 
@@ -208,7 +214,7 @@ def search_critical_witness(
     group = query.group
     factors = group.factors
     n = group.order
-    _check_budget(n, budget, DEFAULT_QUERY_BUDGET)
+    _check_budget(n, budget)
     layout = layout_for(group)
     full = layout.full
     neg = layout.neg_index
@@ -298,7 +304,7 @@ def brute_critical(query: OracleQuery, *, budget: int | None = None, workers: in
     The search runs in the calling process.  `workers` must be an integer
     >= 1 (InvalidWorkers otherwise) but does not change the work.
     """
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+    if not _is_int(workers) or workers < 1:
         raise InvalidWorkers(f"worker count must be an integer >= 1, got {workers!r}")
     value, _ = search_critical_witness(query, budget=budget)
     return value
@@ -312,9 +318,9 @@ def brute_max_sumfree(n: int, *, budget: int | None = None) -> int:
     the remaining elements cannot beat the best size found so far.  The
     search never consults the closed form.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+    if not _is_int(n) or n < 2:
         raise InvalidOrder(f"sum-free search needs a cyclic order >= 2, got {n!r}")
-    _check_budget(n, budget, DEFAULT_QUERY_BUDGET)
+    _check_budget(n, budget)
     layout = layout_for(GroupType((n,)))
     best = 0
 
@@ -334,75 +340,3 @@ def brute_max_sumfree(n: int, *, budget: int | None = None) -> int:
 
     rec(1, 0, 0, 0)
     return best
-
-
-def enumerate_subgroups(group: GroupType, *, budget: int | None = None) -> list[GroupSubset]:
-    """All subgroups as bit-vector subsets, smallest first.
-
-    Breadth-first over the subgroup lattice: grow each known subgroup by
-    one outside generator and close; stop when nothing new appears.
-    """
-    n = group.order
-    _check_budget(n, budget, DEFAULT_SWEEP_BUDGET)
-    layout = layout_for(group)
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        fresh = []
-        for mask in frontier:
-            outside = layout.full ^ mask
-            x = outside
-            while x:
-                low = x & -x
-                x ^= low
-                grown = closure_bits(layout, mask | low)
-                if grown not in seen:
-                    seen.add(grown)
-                    fresh.append(grown)
-        frontier = fresh
-    masks = sorted(seen, key=lambda m: (m.bit_count(), m))
-    return [GroupSubset(group, m) for m in masks]
-
-
-def _scalar_index(group: GroupType, k: int, index: int) -> int:
-    return group.encode(group.scalar(k, group.decode(index)))
-
-
-def brute_quotient_types(group: GroupType, *, budget: int | None = None) -> set[GroupType]:
-    """Isomorphism types of all nontrivial quotients, from first principles.
-
-    For each subgroup H, the quotient's p-primary structure is read off by
-    counting solutions of p^k * x in H: consecutive count ratios are p to
-    the number of cyclic p-power factors of exponent at least k, and the
-    conjugate of that profile gives the elementary divisors.
-    """
-    n = group.order
-    subgroups = enumerate_subgroups(group, budget=budget)
-    types: set[GroupType] = set()
-    for sub in subgroups:
-        q = n // sub.size
-        if q == 1:
-            continue
-        entries: list[int] = []
-        for p in factorize(q):
-            profile = []
-            prev = sub.size
-            k = 1
-            while True:
-                pk = p**k
-                cnt = sum(1 for i in range(n) if sub.contains_index(_scalar_index(group, pk, i)))
-                ratio, m_k = cnt // prev, 0
-                while ratio > 1:
-                    if ratio % p:
-                        raise RuntimeError(f"count ratio {cnt}/{prev} is not a power of {p}")
-                    ratio //= p
-                    m_k += 1
-                if m_k == 0:
-                    break
-                profile.append(m_k)
-                prev = cnt
-                k += 1
-            for j in range(1, profile[0] + 1 if profile else 1):
-                entries.append(p ** sum(1 for mk in profile if mk >= j))
-        types.add(GroupType(tuple(entries)))
-    return types

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidIndex, QuotientUnavailable, SpecMismatch
-from .groups import GroupType
+from .groups import GroupType, _is_int
 from .sumsets import GroupSubset, Layout, layout_for, translate_bits
 
 
@@ -33,10 +33,12 @@ def quotient_spec(group: GroupType, d: int) -> QuotientSpec:
     """Quotient of index d, chosen greedily from the top coordinate down.
 
     Requires 2 <= d <= n and d | n (InvalidIndex otherwise).  The kernel is
-    the set of elements whose i-th coordinate is divisible by ei.
+    the set of elements whose i-th coordinate is divisible by ei.  The
+    greedy vector is (1, ..., 1) followed by a divisor chain, so it is the
+    top-aligned vector of its nonunit entries.
     """
     n = group.order
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2 or d > n or n % d:
+    if not _is_int(d) or d < 2 or d > n or n % d:
         raise InvalidIndex(f"index {d!r} is not a divisor of {n} in [2, {n}]")
     rem = d
     evec = [1] * group.rank
@@ -46,21 +48,7 @@ def quotient_spec(group: GroupType, d: int) -> QuotientSpec:
         rem //= e
     if rem != 1:
         raise InvalidIndex(f"index {d} is not realizable in group {group}")
-    return _spec_from_vector(group, tuple(evec))
-
-
-def _spec_from_vector(group: GroupType, evec: tuple[int, ...]) -> QuotientSpec:
-    if len(evec) != group.rank:
-        raise InvalidIndex(f"divisor vector {evec!r} has wrong length for {group}")
-    for e, f in zip(evec, group.factors):
-        if not isinstance(e, int) or e < 1 or f % e:
-            raise InvalidIndex(f"entry {e!r} does not divide factor {f}")
-    nonunit = [e for e in evec if e > 1]
-    if not nonunit:
-        raise InvalidIndex("divisor vector describes the trivial quotient")
-    if any(nonunit[i + 1] % nonunit[i] for i in range(len(nonunit) - 1)):
-        raise InvalidIndex(f"nonunit entries of {evec!r} do not form a divisor chain")
-    return QuotientSpec(group, evec, GroupType(tuple(nonunit)), math.prod(evec))
+    return spec_for_quotient_type(group, [e for e in evec if e > 1])
 
 
 def quotient_type_feasible(group: GroupType, quotient_factors: Sequence[int]) -> bool:
@@ -87,39 +75,35 @@ def spec_for_quotient_type(group: GroupType, quotient_factors: Sequence[int]) ->
     if not quotient_type_feasible(group, ds):
         raise QuotientUnavailable(f"{ds!r} is not a quotient type of {group}")
     evec = (1,) * (group.rank - len(ds)) + ds
-    return _spec_from_vector(group, evec)
-
-
-def project(spec: QuotientSpec, element: Sequence[int]) -> tuple[int, ...]:
-    """Image of a parent element under the quotient map."""
-    coords = spec.parent.check_element(element)
-    return tuple(c % e for c, e in zip(coords, spec.divisor_vector) if e > 1)
-
-
-def project_index(spec: QuotientSpec, index: int) -> int:
-    return spec.quotient.encode(project(spec, spec.parent.decode(index)))
-
-
-def project_subset(spec: QuotientSpec, subset: GroupSubset) -> GroupSubset:
-    """Support of the image of a parent subset in the quotient."""
-    if subset.group != spec.parent:
-        raise SpecMismatch(f"subset lives in {subset.group}, spec projects from {spec.parent}")
-    return GroupSubset.from_indices(spec.quotient, (project_index(spec, i) for i in subset.indices()))
+    return QuotientSpec(group, evec, GroupType(ds), math.prod(ds))
 
 
 def lift_preimage(spec: QuotientSpec, subset: GroupSubset) -> GroupSubset:
-    """Full preimage of a quotient subset; its size is |B| * n / d."""
+    """Full preimage of a quotient subset; its size is |B| * n / d.
+
+    Coordinates are expanded from the lowest up.  Before coordinate i each
+    run of low * e_i bits (low = f_1 * ... * f_(i-1)) holds one value of
+    the quotient digits above i; it becomes low * f_i bits by one
+    multiplication with the repunit that repeats it f_i / e_i times.
+    """
     if subset.group != spec.quotient:
         raise SpecMismatch(f"subset lives in {subset.group}, quotient is {spec.quotient}")
-    # proj[i] is the quotient index of parent index i, built one coordinate
-    # at a time with the first coordinate varying fastest.
-    proj = [0]
-    qstride = 1
+    bits = subset.bits
+    low = 1
     for f, e in zip(spec.parent.factors, spec.divisor_vector):
-        proj = [(c % e) * qstride + low for c in range(f) for low in proj]
-        qstride *= e
-    digit = format(subset.bits, f"0{spec.index}b")[::-1]
-    return GroupSubset(spec.parent, int("".join([digit[q] for q in reversed(proj)]), 2))
+        if e != f:
+            run, wide = low * e, low * f
+            repunit = ((1 << wide) - 1) // ((1 << run) - 1)
+            keep = (1 << run) - 1
+            spread = 0
+            shift = 0
+            while bits:
+                spread |= (bits & keep) * repunit << shift
+                bits >>= run
+                shift += wide
+            bits = spread
+        low *= f
+    return GroupSubset(spec.parent, bits)
 
 
 def kernel_subset(spec: QuotientSpec) -> GroupSubset:

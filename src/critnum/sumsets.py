@@ -24,7 +24,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import EmptySetError, InvalidElement, InvalidH, InvalidOrder, InvalidS, SpecMismatch
-from .groups import GroupType, factorize
+from .groups import GroupType, _is_int, factorize
 
 # The largest order a Layout is built for.  It fits Z65536 (acceptance
 # tier A13) with room to spare; at the limit a Layout takes about 0.25 s
@@ -233,7 +233,7 @@ class GroupSubset:
         bits = 0
         n = group.order
         for i in indices:
-            if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < n:
+            if not _is_int(i) or not 0 <= i < n:
                 raise InvalidElement(f"index {i!r} out of range for order {n}")
             bits |= 1 << i
         return cls(group, bits)
@@ -330,7 +330,7 @@ def pairwise_sumset(a: GroupSubset, b: GroupSubset) -> GroupSubset:
 
 def hfold_sumset(a: GroupSubset, h: int) -> GroupSubset:
     """The h-fold sumset hA: all sums of exactly h elements of A (h >= 1)."""
-    if not isinstance(h, int) or isinstance(h, bool) or h < 1:
+    if not _is_int(h) or h < 1:
         raise InvalidH(f"fold count must be an integer >= 1, got {h!r}")
     if a.bits == 0:
         raise EmptySetError("h-fold sumset of the empty set is undefined")
@@ -342,7 +342,7 @@ def interval_sumset(a: GroupSubset, s: int) -> GroupSubset:
 
     The 0-fold term is {0}, so the result always contains zero.
     """
-    if not isinstance(s, int) or isinstance(s, bool) or s < 0:
+    if not _is_int(s) or s < 0:
         raise InvalidS(f"interval length must be an integer >= 0, got {s!r}")
     if a.bits == 0:
         raise EmptySetError("interval sumset of the empty set is undefined")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import ConditionViolated, ConstructionInvariantViolated
 from .formulas import _check_h, _check_s, max_incomplete_divisors
-from .groups import GroupType, divisors, is_prime
+from .groups import GroupType, _is_int, divisors, is_prime
 from .quotients import (
     closure_bits,
     lift_preimage,
@@ -195,7 +195,7 @@ def interval_bound_witness(
     if len(cs) != len(ds):
         raise ConditionViolated(f"c-vector {cs!r} does not match quotient type {ds!r}")
     for c, d in zip(cs, ds):
-        if not isinstance(c, int) or isinstance(c, bool) or not 1 <= c <= d - 1:
+        if not _is_int(c) or not 1 <= c <= d - 1:
             raise ConditionViolated(f"count {c!r} outside [1, {d - 1}]")
     if sum((d - 1 + c - 1) // c for c, d in zip(cs, ds)) < s + 1:
         raise ConditionViolated(

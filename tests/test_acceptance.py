@@ -45,7 +45,6 @@ from critnum import (
     pairwise_sumset,
     search_critical_witness,
     subset_sum_critical_pair,
-    subset_sums,
 )
 
 

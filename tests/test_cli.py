@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from critnum import GroupType, best_interval_bound, hfold_witness, parse_group
 from critnum.cli import main
 

@@ -1,14 +1,15 @@
-"""Every name a source module imports is used in that module.
+"""Every name a module imports is used in that module.
 
-No linter ships with the project, so this parses `src/critnum/*.py` with
-`ast`.  A name counts as used when it is read anywhere in the module or
+No linter ships with the project, so this parses `src/critnum/*.py` and
+`tests/**/*.py` with `ast`.  A name counts as used when it is read anywhere in the module or
 listed in its `__all__` (the package's re-exports).
 """
 
 import ast
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "critnum").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "critnum").glob("*.py")) + sorted((ROOT / "tests").glob("**/*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -32,7 +33,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports():
     assert SOURCES
     unused = [
-        f"{path.name} {problem}"
+        f"{path.relative_to(ROOT)} {problem}"
         for path in SOURCES
         for problem in _unused_imports(ast.parse(path.read_text(), str(path)))
     ]

@@ -19,11 +19,9 @@ from critnum import (
     brute_critical,
     brute_critical_witness,
     brute_max_sumfree,
-    brute_quotient_types,
     critical_number,
     cyclic,
     divisors,
-    enumerate_subgroups,
     hfold_sumset,
     interval_sumset,
     is_complete,
@@ -35,8 +33,16 @@ from critnum import (
     subset_sums,
 )
 from critnum.cli import main
-from critnum.oracle import _anchor_generators, _anchor_representatives, _recheck_witness
+from critnum.oracle import (
+    _anchor_generators,
+    _anchor_representatives,
+    _expansion,
+    _multiples,
+    _recheck_witness,
+    _singleton_hits,
+)
 from critnum.sumsets import layout_for, translate_bits
+from reference import add_indices, brute_quotient_types, enumerate_subgroups, neg_index, scalar_index
 
 
 def _acceptance_grid_queries() -> list[OracleQuery]:
@@ -216,7 +222,7 @@ def test_anchor_generators_are_automorphisms():
             assert all(perm[0] == 0 for perm in _anchor_generators(g.factors, 0))
             shifts = _fold_coset(g, 2)
             basis = _basis(g)
-            steps = [[g.add_indices(x, e) for x in range(n)] for e in basis]
+            steps = [[add_indices(g, x, e) for x in range(n)] for e in basis]
 
             def plus(y):
                 table = list(range(n))
@@ -228,7 +234,7 @@ def test_anchor_generators_are_automorphisms():
             for perm in _anchor_generators(g.factors, 2):
                 assert sorted(perm) == list(range(n)), g
                 assert perm[0] in shifts, g
-                back = plus(g.neg_index(perm[0]))
+                back = plus(neg_index(g, perm[0]))
                 for e, step in zip(basis, steps):
                     image = plus(perm[e])
                     assert all(perm[step[x]] == back[image[perm[x]]] for x in range(n)), (g, perm)
@@ -279,14 +285,14 @@ def _automorphisms(group: GroupType) -> list[list[int]]:
     steps = []
     for x in range(1, n):
         k = next(i for i, c in enumerate(group.decode(x)) if c)
-        steps.append((x, group.add_indices(x, group.neg_index(basis[k])), k))
+        steps.append((x, add_indices(group, x, neg_index(group, basis[k])), k))
     zero = group.zero()
     choices = [[y for y in range(n) if group.scalar(f, group.decode(y)) == zero] for f in group.factors]
     autos = []
     for images in itertools.product(*choices):
         perm = [0] * n
         for x, prev, k in steps:
-            perm[x] = group.add_indices(perm[prev], images[k])
+            perm[x] = add_indices(group, perm[prev], images[k])
         if len(set(perm)) == n:
             autos.append(perm)
     return autos
@@ -304,7 +310,7 @@ def test_anchors_are_automorphism_orbits():
             orbits = {frozenset(a[x] for a in autos) for x in range(n)}
             for fold in (0, 2, 3):
                 shifts = _fold_coset(g, fold)
-                least = {min(g.add_indices(y, t) for y in orbit for t in shifts) for orbit in orbits}
+                least = {min(add_indices(g, y, t) for y in orbit for t in shifts) for orbit in orbits}
                 assert _anchor_representatives(g.factors, fold) == tuple(sorted(least)), (g, fold)
             checked += 1
     assert checked == 23
@@ -319,6 +325,29 @@ def test_anchor_counts():
     assert _anchor_representatives((2, 8), 2) == (0, 1, 2)
     assert _anchor_representatives((2, 2, 2, 2), 2) == (0, 1)
     assert _anchor_representatives((6, 6), 3) == (0, 1)
+
+
+SMALL_TYPES = [g for n in range(2, 33) for g in abelian_types(n)]
+
+
+@pytest.mark.parametrize("group", SMALL_TYPES, ids=str)
+def test_multiples_match_scalar_index(group):
+    for k in list(range(6)) + [group.exponent - 1, group.exponent + 2]:
+        assert _multiples(group.factors, k) == tuple(scalar_index(group, k, x) for x in range(group.order)), k
+
+
+@pytest.mark.parametrize("group", SMALL_TYPES, ids=str)
+def test_singleton_hits_match_kernel_expansion(group):
+    # the table as it was built before: expand every singleton with the
+    # sumset kernels and record which elements it reaches
+    layout = layout_for(group)
+    kinds = [CriticalKind(tag, p) for tag in KIND_TAGS if tag not in ("cr", "cr_star") for p in range(1, 5)]
+    for kind in kinds + [CriticalKind("cr"), CriticalKind("cr_star")]:
+        hits = [0] * group.order
+        for y in range(group.order):
+            for g in GroupSubset(group, _expansion(layout, kind, 1 << y)).indices():
+                hits[g] |= 1 << y
+        assert _singleton_hits(group.factors, kind) == tuple(hits), kind
 
 
 def test_brute_critical_returns_search_value():
@@ -363,9 +392,6 @@ def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         search_critical_witness(q)
     assert brute_critical(q, budget=21) == 21
-    with pytest.raises(BudgetExceeded):
-        enumerate_subgroups(cyclic(17))
-    assert len(enumerate_subgroups(cyclic(17), budget=17)) == 2
 
 
 def test_brute_sumfree():

@@ -1,5 +1,6 @@
 """Quotient maps, generated subgroups, preimage lifting."""
 
+import math
 import random
 
 import pytest
@@ -16,9 +17,6 @@ from critnum import (
     is_generating,
     kernel_subset,
     lift_preimage,
-    project,
-    project_index,
-    project_subset,
     quotient_spec,
     quotient_type_feasible,
     spec_for_quotient_type,
@@ -26,6 +24,7 @@ from critnum import (
 )
 from critnum.quotients import closure_bits
 from critnum.sumsets import layout_for
+from reference import project, project_index, project_subset
 
 
 def test_greedy_divisor_vector():
@@ -48,6 +47,29 @@ def test_quotient_spec_every_divisor_realizable():
                 assert spec.index == d
                 assert spec.quotient.order == d
                 assert len(spec.divisor_vector) == g.rank
+
+
+def _greedy_vector(group, d):
+    # the divisor vector quotient_spec chose before it was built from the
+    # top-aligned chain: gcd with each factor from the top coordinate down
+    rem = d
+    evec = [1] * group.rank
+    for i in reversed(range(group.rank)):
+        evec[i] = math.gcd(group.factors[i], rem)
+        rem //= evec[i]
+    assert rem == 1
+    return tuple(evec)
+
+
+def test_quotient_spec_matches_greedy_vector():
+    for n in range(2, 65):
+        for g in abelian_types(n):
+            for d in divisors(n)[1:]:
+                evec = _greedy_vector(g, d)
+                spec = quotient_spec(g, d)
+                assert spec.divisor_vector == evec, (g, d)
+                assert spec.quotient == GroupType(tuple(e for e in evec if e > 1)), (g, d)
+                assert spec.index == math.prod(evec) == d, (g, d)
 
 
 def test_quotient_spec_errors():
@@ -92,8 +114,6 @@ def test_kernel():
 
 def test_cross_group_projection_rejected():
     spec = quotient_spec(cyclic(12), 6)
-    with pytest.raises(SpecMismatch):
-        project_subset(spec, GroupSubset.from_indices(cyclic(10), [0]))
     with pytest.raises(SpecMismatch):
         lift_preimage(spec, GroupSubset.from_indices(cyclic(12), [0]))
 
@@ -188,3 +208,16 @@ def test_lift_preimage_matches_projection(group):
         for bits in (0, 1, (1 << d) - 1, rng.getrandbits(d), rng.getrandbits(d)):
             want = sum(1 << i for i in range(group.order) if bits >> project_index(spec, i) & 1)
             assert lift_preimage(spec, GroupSubset(spec.quotient, bits)).bits == want, (d, bits)
+
+
+@pytest.mark.parametrize("group", [cyclic(65536), GroupType((2, 2048)), GroupType((16, 16, 16))], ids=str)
+def test_lift_preimage_at_large_orders(group):
+    n = group.order
+    rng = random.Random(n + group.rank)
+    for d in divisors(n)[1:]:
+        spec = quotient_spec(group, d)
+        bits = rng.getrandbits(d)
+        lifted = lift_preimage(spec, GroupSubset(spec.quotient, bits)).bits
+        assert lifted.bit_count() == bits.bit_count() * n // d, d
+        for i in rng.sample(range(n), 2000):
+            assert lifted >> i & 1 == bits >> project_index(spec, i) & 1, (d, i)

@@ -4,7 +4,11 @@ Every critical number is 1 plus the size of the largest qualifying set
 (for the generating-restricted kinds, the largest generating set) whose
 expansion misses some element g.  `search_critical_witness` fixes g and
 runs a depth-first search over the candidate elements; `brute_critical`
-returns its value.  The search shares no logic with the closed forms.
+returns its value.  Besides the size cut, the search cuts a branch by a
+greedy matching in the graph of candidate pairs that cannot join
+together, and, for the generating kinds, when all it can still reach lies
+in one maximal subgroup; it tests generation against one mask per
+maximal subgroup.  The search shares no logic with the closed forms.
 
 `brute_critical_witness` is the definition-literal scan and the ground
 truth the search is tested against.  It enumerates subset sizes in
@@ -23,7 +27,7 @@ from functools import lru_cache
 
 from .errors import BudgetExceeded, ConstructionInvariantViolated, InvalidOrder, InvalidWorkers
 from .formulas import CriticalKind
-from .groups import GroupType, _is_int
+from .groups import GroupType, _is_int, factorize
 from .quotients import closure_bits
 from .sumsets import (
     GroupSubset,
@@ -103,6 +107,43 @@ def _multiples(factors: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=512)
+def _digits(factors: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Per coordinate j, the digit x_j of every flat index x."""
+    n = math.prod(factors)
+    stride = 1
+    tables = []
+    for f in factors:
+        tables.append(tuple(x // stride % f for x in range(n)))
+        stride *= f
+    return tuple(tables)
+
+
+@lru_cache(maxsize=512)
+def _maximal_subgroups(factors: tuple[int, ...]) -> tuple[int, ...]:
+    """One mask per maximal subgroup of the group with these factors.
+
+    The maximal subgroups of a finite abelian group are the kernels of its
+    nonzero maps to Z_p, p prime.  Such a map sends x to sum(a_j * x_j)
+    mod p over the coordinates j with p | f_j, and unit multiples of the
+    coefficients a give the same kernel, so a runs over the vectors whose
+    first nonzero entry is 1: (p^r - 1) / (p - 1) masks for the r
+    coordinates that p divides.  A set generates the group exactly when
+    `all(bits & ~m for m in masks)`.
+    """
+    digits = _digits(factors)
+    masks = []
+    for p in factorize(math.prod(factors)):
+        axes = [column for column, f in zip(digits, factors) if f % p == 0]
+        for lead, first in enumerate(axes):
+            for coeffs in itertools.product(range(p), repeat=len(axes) - lead - 1):
+                values = first
+                for a, column in zip(coeffs, axes[lead + 1:]):
+                    values = [v + a * c for v, c in zip(values, column)]
+                masks.append(sum(1 << x for x, v in enumerate(values) if v % p == 0))
+    return tuple(masks)
+
+
 def _anchor_generators(factors: tuple[int, ...], fold: int) -> list[list[int]]:
     """Index permutations whose orbits `_anchor_representatives` merges.
 
@@ -112,9 +153,8 @@ def _anchor_generators(factors: tuple[int, ...], fold: int) -> list[list[int]]:
       so f_i*k*e_j = 0 and the map is an automorphism with inverse -k;
     - when fold != 0, translations by fold*e_j.
     """
-    n = math.prod(factors)
     strides = [math.prod(factors[:j]) for j in range(len(factors))]
-    coords = [[x // s % f for x in range(n)] for s, f in zip(strides, factors)]
+    coords = _digits(factors)
 
     def adding(j: int, amounts) -> list[int]:
         f, s = factors[j], strides[j]
@@ -186,6 +226,31 @@ def _singleton_hits(factors: tuple[int, ...], kind: CriticalKind) -> tuple[int, 
     return tuple(hits)
 
 
+def _matching_size(layout, layer: int, cand: int, need: int) -> int:
+    """Pairs of a greedy matching in the conflict graph on cand.
+
+    y and z conflict when y + z lies in layer, so the neighbours of y are
+    (layer - y) & cand: one translation per candidate taken in index
+    order.  Each pair is taken out of the free candidates as it is
+    matched, so no vertex is in two pairs.  The count stops once it
+    reaches need or the free candidates left cannot bring it there.
+    """
+    neg = layout.neg_index
+    free = cand
+    left = cand.bit_count()
+    matched = 0
+    while matched < need <= matched + left // 2:
+        y = free & -free
+        free ^= y
+        left -= 1
+        partners = translate_bits(layout, layer, neg[y.bit_length() - 1]) & free
+        if partners:
+            free ^= partners & -partners
+            left -= 1
+            matched += 1
+    return matched
+
+
 def search_critical_witness(
     query: OracleQuery, *, budget: int | None = None
 ) -> tuple[int, GroupSubset | None]:
@@ -205,11 +270,22 @@ def search_critical_witness(
     when j*y lies in D[param - j] for some 1 <= j <= param, so the remaining
     candidates are filtered against the layers once per node; a filtered
     candidate never returns, because the layers only grow.  For subset
-    sums the single layer is D = g - Sum(A) with D' = D | (D - x).  A branch
-    is cut when its size plus its candidates cannot beat the best size
-    found for any anchor so far.  Generation is tested only for a set that
-    would become the new best.  The result is re-checked with the sumset
-    kernels before it is returned.
+    sums the single layer is D = g - Sum(A) with D' = D | (D - x).
+
+    Three cuts end a branch whose sets cannot beat the best size found for
+    any anchor so far:
+    - size: its size plus its candidates;
+    - matching: two candidates y, z cannot both join when y + z lies in
+      D[param - 2] (the layer D for subset sums), so the sets grow by an
+      independent set of that conflict graph and a matching M of it bounds
+      them by size + |cand| - |M|.  `_matching_size` is called only when
+      |cand| // 2 pairs would be enough;
+    - generation (generating kinds only): the set and all its candidates
+      lie in one maximal subgroup.
+    Generation is tested against the masks of `_maximal_subgroups`, and
+    only for a set that would become the new best.  The result is
+    re-checked with the sumset kernels and `closure_bits` before it is
+    returned.
     """
     group = query.group
     factors = group.factors
@@ -232,14 +308,25 @@ def search_critical_witness(
     # at the root by `alone`, the others are checked element by element.
     middle = [(param - j, _multiples(factors, j)) for j in range(2, param)] if param else []
 
+    maxes = _maximal_subgroups(factors) if restrict else ()
+    # two candidates y, z conflict when y + z lies in this layer
+    conflict_level = 0 if mode == "sums" else param - 2 if param >= 2 else None
+
     best = 0 if mode == "sums" else -1
     best_bits = 0
 
     def descend(bits: int, size: int, cand: int, layers: list[int]) -> None:
         nonlocal best, best_bits
         while cand:
-            if size + cand.bit_count() <= best:
+            count = cand.bit_count()
+            if size + count <= best:
                 return
+            if maxes and not all((bits | cand) & ~m for m in maxes):
+                return
+            need = size + count - best
+            if conflict_level is not None and count // 2 >= need:
+                if _matching_size(layout, layers[conflict_level], cand, need) >= need:
+                    return
             low = cand & -cand
             cand ^= low
             minus_x = neg[low.bit_length() - 1]
@@ -264,7 +351,7 @@ def search_critical_witness(
                         c ^= y
                         if mask >> times_j[y.bit_length() - 1] & 1:
                             new_cand ^= y
-            if size + 1 > best and (not restrict or closure_bits(layout, grown) == full):
+            if size + 1 > best and all(grown & ~m for m in maxes):
                 best, best_bits = size + 1, grown
             descend(grown, size + 1, new_cand, new_layers)
 

@@ -389,3 +389,21 @@ def test_a14_search_past_the_unit_multiple_anchors():
     elapsed = time.monotonic() - start
     scope = f"search vs s = 3 formula on {len(groups)} non-cyclic groups of order 32-36"
     _finish("A14", f"{scope} in {elapsed:.1f}s", failures)
+
+
+def test_a15_search_at_h_s_2_to_order_48():
+    # Past A12's orders: at h = s = 2 the conflict-graph matching bound
+    # proves the optimum at the root, so every type of order 25-48 is cheap.
+    start = time.monotonic()
+    failures = []
+    cases = 0
+    for n in range(25, 49):
+        want = critical_number(n, 2)
+        for g in abelian_types(n):
+            for tag in ("chi_h", "chi_interval", "chi_hat_h"):
+                got = search_critical_witness(OracleQuery(g, CriticalKind(tag, 2)), budget=n)[0]
+                cases += 1
+                if got != want:
+                    failures.append(f"{tag}({g}, 2): search {got} vs formula {want}")
+    elapsed = time.monotonic() - start
+    _finish("A15", f"search vs critical_number(n, 2) at orders 25-48 on {cases} cases in {elapsed:.2f}s", failures)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -22,11 +23,14 @@ from critnum import (
     critical_number,
     cyclic,
     divisors,
+    factorize,
     hfold_sumset,
     interval_sumset,
     is_complete,
     is_generating,
+    lift_preimage,
     max_sumfree_size,
+    quotient_spec,
     quotient_type_feasible,
     search_critical_witness,
     subgroup_generated,
@@ -37,10 +41,13 @@ from critnum.oracle import (
     _anchor_generators,
     _anchor_representatives,
     _expansion,
+    _matching_size,
+    _maximal_subgroups,
     _multiples,
     _recheck_witness,
     _singleton_hits,
 )
+from critnum.quotients import closure_bits
 from critnum.sumsets import layout_for, translate_bits
 from reference import add_indices, brute_quotient_types, enumerate_subgroups, neg_index, scalar_index
 
@@ -348,6 +355,93 @@ def test_singleton_hits_match_kernel_expansion(group):
             for g in GroupSubset(group, _expansion(layout, kind, 1 << y)).indices():
                 hits[g] |= 1 << y
         assert _singleton_hits(group.factors, kind) == tuple(hits), kind
+
+
+@pytest.mark.parametrize("group", SMALL_TYPES, ids=str)
+def test_maximal_subgroups_are_the_prime_index_subgroups(group):
+    # the reference lattice is built by closure, not from maps to Z_p
+    n = group.order
+    want = [s.bits for s in enumerate_subgroups(group) if factorize(n // s.size).get(n // s.size) == 1]
+    assert sorted(_maximal_subgroups(group.factors)) == sorted(want)
+
+
+@pytest.mark.parametrize("group", [g for n in range(2, 65) for g in abelian_types(n)], ids=str)
+def test_maximal_subgroup_masks_decide_generation(group):
+    # Random sets of every size up to rank + 2 (small ones often lie in a
+    # maximal subgroup) and preimages of random quotient masks at every
+    # divisor, {0} among them, so the kernels themselves are tried too.
+    n = group.order
+    rng = random.Random(n * 7 + group.rank)
+    layout = layout_for(group)
+    masks = _maximal_subgroups(group.factors)
+    sets = [0, 1, layout.full]
+    for k in range(1, min(n, group.rank + 2) + 1):
+        sets += [sum(1 << x for x in rng.sample(range(n), k)) for _ in range(4)]
+    for d in divisors(n)[1:]:
+        spec = quotient_spec(group, d)
+        for bits in (1, rng.getrandbits(d), rng.getrandbits(d)):
+            sets.append(lift_preimage(spec, GroupSubset(spec.quotient, bits)).bits)
+    verdicts = set()
+    for bits in sets:
+        generates = closure_bits(layout, bits) == layout.full
+        assert all(bits & ~m for m in masks) == generates, hex(bits)
+        verdicts.add(generates)
+    assert verdicts == {True, False}
+
+
+def _conflict_layer(group: GroupType, kind: CriticalKind, bits: int, target: int) -> int:
+    """target - (h-2)A, target - [0,s-2]A or target - Sum(A), from the public sumsets."""
+    subset = GroupSubset(group, bits)
+    k = None if kind.mode == "sums" else kind.param - 2
+    if not bits or k == 0:
+        reached = [] if kind.mode == "hfold" and k else [0]  # kA = {} for k >= 1, else {0}
+    elif kind.mode == "hfold":
+        reached = hfold_sumset(subset, k).indices()
+    elif kind.mode == "interval":
+        reached = interval_sumset(subset, k).indices()
+    else:
+        reached = subset_sums(subset).indices()
+    return sum(1 << add_indices(group, target, neg_index(group, x)) for x in reached)
+
+
+def test_matching_bound_is_sound():
+    # Random search states (A missing target, cand the elements that keep it
+    # missing).  The search cuts when the matching reaches need = |A| +
+    # |cand| - best, so it must never reach the least need that would lose
+    # the largest extension of A inside cand, found by enumeration.
+    rng = random.Random(7)
+    groups = [g for n in range(2, 13) for g in abelian_types(n)]
+    kinds = [CriticalKind(tag, p) for tag in ("chi_h", "chi_interval") for p in (2, 3, 4)]
+    kinds += [CriticalKind("cr"), CriticalKind("cr_star")]
+    tight = states = 0
+    while states < 300:
+        group, kind = rng.choice(groups), rng.choice(kinds)
+        n = group.order
+        layout = layout_for(group)
+        target = rng.randrange(n)
+        pool = [x for x in range(n) if x or not kind.excludes_zero]
+        bits = sum(1 << x for x in rng.sample(pool, rng.randrange(min(4, len(pool)))))
+
+        def misses(mask):
+            return not _expansion(layout, kind, mask) >> target & 1
+
+        if not misses(bits):
+            continue
+        cand = [y for y in pool if not bits >> y & 1 and misses(bits | 1 << y)]
+        cand = rng.sample(cand, min(len(cand), 10))
+        cand_bits = sum(1 << y for y in cand)
+        layer = _conflict_layer(group, kind, bits, target)
+        largest = next(
+            k
+            for k in range(len(cand), -1, -1)
+            if any(misses(bits | sum(1 << y for y in extra)) for extra in itertools.combinations(cand, k))
+        )
+        cut = len(cand) - largest + 1
+        assert _matching_size(layout, layer, cand_bits, cut) < cut, (group, kind, hex(bits), target, cand)
+        states += 1
+        # the bound is exact here: a matching of cut - 1 pairs is found
+        tight += cut > 1 and _matching_size(layout, layer, cand_bits, cut - 1) == cut - 1
+    assert tight > 100
 
 
 def test_brute_critical_returns_search_value():

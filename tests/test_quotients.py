@@ -210,6 +210,20 @@ def test_lift_preimage_matches_projection(group):
             assert lift_preimage(spec, GroupSubset(spec.quotient, bits)).bits == want, (d, bits)
 
 
+@pytest.mark.parametrize("group", [GroupType((2, 2048)), GroupType((2, 2, 1024))], ids=str)
+def test_lift_preimage_below_a_top_aligned_chain(group):
+    # Unit coordinates under many quotient digits: every run of the mask to
+    # spread is one bit wide, and there are up to d of them.
+    n = group.order
+    rng = random.Random(n * 3 + group.rank)
+    for d in divisors(n)[1:]:
+        spec = quotient_spec(group, d)
+        image = [project_index(spec, i) for i in range(n)]
+        for bits in (1 << d - 1, (1 << d) - 1, rng.getrandbits(d)):
+            want = sum(1 << i for i, q in enumerate(image) if bits >> q & 1)
+            assert lift_preimage(spec, GroupSubset(spec.quotient, bits)).bits == want, (d, bits)
+
+
 @pytest.mark.parametrize("group", [cyclic(65536), GroupType((2, 2048)), GroupType((16, 16, 16))], ids=str)
 def test_lift_preimage_at_large_orders(group):
     n = group.order

@@ -8,7 +8,8 @@ returns its value.  Besides the size cut, the search cuts a branch by a
 greedy matching in the graph of candidate pairs that cannot join
 together, and, for the generating kinds, when all it can still reach lies
 in one maximal subgroup; it tests generation against one mask per
-maximal subgroup.  The search shares no logic with the closed forms.
+maximal subgroup (by closure for groups with more than `_MAX_MASKS`).
+The search shares no logic with the closed forms.
 
 `brute_critical_witness` is the definition-literal scan and the ground
 truth the search is tested against.  It enumerates subset sizes in
@@ -107,7 +108,6 @@ def _multiples(factors: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-@lru_cache(maxsize=512)
 def _digits(factors: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Per coordinate j, the digit x_j of every flat index x."""
     n = math.prod(factors)
@@ -119,8 +119,12 @@ def _digits(factors: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
+# Past this many maximal subgroups the search tests generation by closure.
+_MAX_MASKS = 64
+
+
 @lru_cache(maxsize=512)
-def _maximal_subgroups(factors: tuple[int, ...]) -> tuple[int, ...]:
+def _maximal_subgroups(factors: tuple[int, ...]) -> tuple[int, ...] | None:
     """One mask per maximal subgroup of the group with these factors.
 
     The maximal subgroups of a finite abelian group are the kernels of its
@@ -129,11 +133,16 @@ def _maximal_subgroups(factors: tuple[int, ...]) -> tuple[int, ...]:
     coefficients a give the same kernel, so a runs over the vectors whose
     first nonzero entry is 1: (p^r - 1) / (p - 1) masks for the r
     coordinates that p divides.  A set generates the group exactly when
-    `all(bits & ~m for m in masks)`.
+    `all(bits & ~m for m in masks)`.  None when there are more than
+    `_MAX_MASKS`: Z_p^r alone has (p^r - 1) / (p - 1), about one n-bit mask
+    per element.
     """
+    primes = factorize(math.prod(factors))
+    if sum((p ** sum(f % p == 0 for f in factors) - 1) // (p - 1) for p in primes) > _MAX_MASKS:
+        return None
     digits = _digits(factors)
     masks = []
-    for p in factorize(math.prod(factors)):
+    for p in primes:
         axes = [column for column, f in zip(digits, factors) if f % p == 0]
         for lead, first in enumerate(axes):
             for coeffs in itertools.product(range(p), repeat=len(axes) - lead - 1):
@@ -226,18 +235,21 @@ def _singleton_hits(factors: tuple[int, ...], kind: CriticalKind) -> tuple[int, 
     return tuple(hits)
 
 
-def _matching_size(layout, layer: int, cand: int, need: int) -> int:
-    """Pairs of a greedy matching in the conflict graph on cand.
+def _greedy_matching(layout, layer: int, cand: int, need: int) -> int:
+    """A greedy matching in the conflict graph on cand, as the mask of the
+    lower ends of its pairs.
 
     y and z conflict when y + z lies in layer, so the neighbours of y are
     (layer - y) & cand: one translation per candidate taken in index
     order.  Each pair is taken out of the free candidates as it is
-    matched, so no vertex is in two pairs.  The count stops once it
-    reaches need or the free candidates left cannot bring it there.
+    matched, so no vertex is in two pairs.  The matching stops growing
+    once it has need pairs or the free candidates left cannot bring it
+    there.
     """
     neg = layout.neg_index
     free = cand
     left = cand.bit_count()
+    lows = 0
     matched = 0
     while matched < need <= matched + left // 2:
         y = free & -free
@@ -247,8 +259,9 @@ def _matching_size(layout, layer: int, cand: int, need: int) -> int:
         if partners:
             free ^= partners & -partners
             left -= 1
+            lows |= y
             matched += 1
-    return matched
+    return lows
 
 
 def search_critical_witness(
@@ -278,14 +291,16 @@ def search_critical_witness(
     - matching: two candidates y, z cannot both join when y + z lies in
       D[param - 2] (the layer D for subset sums), so the sets grow by an
       independent set of that conflict graph and a matching M of it bounds
-      them by size + |cand| - |M|.  `_matching_size` is called only when
-      |cand| // 2 pairs would be enough;
+      them by size + |cand| - |M|.  A node runs `_greedy_matching` when
+      |cand| // 2 pairs would be enough and best has grown since its last
+      run; in between, each pop drops the pair whose lower end it takes;
     - generation (generating kinds only): the set and all its candidates
       lie in one maximal subgroup.
-    Generation is tested against the masks of `_maximal_subgroups`, and
-    only for a set that would become the new best.  The result is
-    re-checked with the sumset kernels and `closure_bits` before it is
-    returned.
+    Each node keeps the masks of `_maximal_subgroups` that contain its set,
+    so a set generates when none is left; past `_MAX_MASKS` masks there is
+    no generation cut and a would-be new best is tested by `closure_bits`.
+    The result is re-checked with the sumset kernels and `closure_bits`
+    before it is returned.
     """
     group = query.group
     factors = group.factors
@@ -309,26 +324,33 @@ def search_critical_witness(
     middle = [(param - j, _multiples(factors, j)) for j in range(2, param)] if param else []
 
     maxes = _maximal_subgroups(factors) if restrict else ()
+    closing = maxes is None  # too many maximal subgroups: test new bests by closure
     # two candidates y, z conflict when y + z lies in this layer
     conflict_level = 0 if mode == "sums" else param - 2 if param >= 2 else None
 
     best = 0 if mode == "sums" else -1
     best_bits = 0
 
-    def descend(bits: int, size: int, cand: int, layers: list[int]) -> None:
+    def descend(bits: int, size: int, cand: int, layers: list[int], around: list[int]) -> None:
+        # around: the masks of the maximal subgroups that contain bits
         nonlocal best, best_bits
+        # the lower ends of a matching in cand's conflict graph, computed when
+        # best was paired_at; popping a lower end takes its pair out
+        pairs, paired_at = 0, None
         while cand:
             count = cand.bit_count()
-            if size + count <= best:
+            if size + count - pairs.bit_count() <= best:
                 return
-            if maxes and not all((bits | cand) & ~m for m in maxes):
+            if around and not all((bits | cand) & ~m for m in around):
                 return
             need = size + count - best
-            if conflict_level is not None and count // 2 >= need:
-                if _matching_size(layout, layers[conflict_level], cand, need) >= need:
+            if conflict_level is not None and paired_at != best and count // 2 >= need:
+                pairs, paired_at = _greedy_matching(layout, layers[conflict_level], cand, need), best
+                if pairs.bit_count() >= need:
                     return
             low = cand & -cand
             cand ^= low
+            pairs &= cand
             minus_x = neg[low.bit_length() - 1]
             grown = bits | low
             if mode == "sums":
@@ -351,9 +373,10 @@ def search_critical_witness(
                         c ^= y
                         if mask >> times_j[y.bit_length() - 1] & 1:
                             new_cand ^= y
-            if size + 1 > best and all(grown & ~m for m in maxes):
+            grown_around = [m for m in around if m & low] if around else around
+            if size + 1 > best and not grown_around and (not closing or closure_bits(layout, grown) == full):
                 best, best_bits = size + 1, grown
-            descend(grown, size + 1, new_cand, new_layers)
+            descend(grown, size + 1, new_cand, new_layers, grown_around)
 
     for g in anchors:
         anchor = 1 << g
@@ -362,7 +385,7 @@ def search_critical_witness(
         else:
             # g - [0,k]{} = {g} for every k; g - k{} is empty for k >= 1
             layers = [anchor] + [anchor if mode == "interval" else 0] * (param - 1)
-        descend(0, 0, pool & ~alone[g], layers)
+        descend(0, 0, pool & ~alone[g], layers, list(maxes or ()))
 
     if best < 0:
         return 1, None

@@ -83,9 +83,8 @@ def lift_preimage(spec: QuotientSpec, subset: GroupSubset) -> GroupSubset:
 
     Coordinates are expanded from the lowest up.  Before coordinate i each
     run of low * e_i bits (low = f_1 * ... * f_(i-1)) holds one value of
-    the quotient digits above i; `_spread` moves the runs, when there is
-    more than one, to a stride of low * f_i bits, and one multiplication
-    with the repunit that repeats a run f_i / e_i times fills each slot.
+    the quotient digits above i; it becomes low * f_i bits by one
+    multiplication with the repunit that repeats it f_i / e_i times.
     """
     if subset.group != spec.quotient:
         raise SpecMismatch(f"subset lives in {subset.group}, quotient is {spec.quotient}")
@@ -94,35 +93,17 @@ def lift_preimage(spec: QuotientSpec, subset: GroupSubset) -> GroupSubset:
     for f, e in zip(spec.parent.factors, spec.divisor_vector):
         if e != f:
             run, wide = low * e, low * f
-            if bits >> run:
-                bits = _spread(bits, run, wide)
-            bits *= ((1 << wide) - 1) // ((1 << run) - 1)
+            repunit = ((1 << wide) - 1) // ((1 << run) - 1)
+            keep = (1 << run) - 1
+            spread = 0
+            shift = 0
+            while bits:
+                spread |= (bits & keep) * repunit << shift
+                bits >>= run
+                shift += wide
+            bits = spread
         low *= f
     return GroupSubset(spec.parent, bits)
-
-
-def _spread(bits: int, run: int, wide: int) -> int:
-    """Move the i-th run of `run` bits from offset i * run to i * wide.
-
-    The runs are halved in groups: while groups of t runs sit at a stride
-    of t * wide bits, one periodic mask picks the upper half of every
-    group and moves it up by (t / 2) * (wide - run), so c runs take
-    ceil(log2(c)) steps.
-    """
-    count = -(-bits.bit_length() // run)
-    span = count * wide
-    t = 1 << (count - 1).bit_length()
-    while t > 1:
-        half = t >> 1
-        mask = ((1 << half * run) - 1) << half * run
-        period = t * wide
-        while period < span:
-            mask |= mask << period
-            period <<= 1
-        moving = bits & mask
-        bits ^= moving | moving << half * (wide - run)
-        t = half
-    return bits
 
 
 def kernel_subset(spec: QuotientSpec) -> GroupSubset:

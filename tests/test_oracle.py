@@ -37,11 +37,12 @@ from critnum import (
     subset_sums,
 )
 from critnum.cli import main
+from critnum import oracle
 from critnum.oracle import (
     _anchor_generators,
     _anchor_representatives,
     _expansion,
-    _matching_size,
+    _greedy_matching,
     _maximal_subgroups,
     _multiples,
     _recheck_witness,
@@ -194,6 +195,30 @@ def test_search_matches_scan_with_query_flags():
                     value, witness = search_critical_witness(q)
                     assert value == brute_critical_witness(q)[0], q
                     assert _witness_problems(q, value, witness) == [], q
+
+
+def test_search_past_the_mask_cap_matches_scan(monkeypatch):
+    # Z2^7 has 127 maximal subgroups, past the cap: its h = s = 2 queries
+    # test generation by closure.  With the cap forced to 0 every group
+    # does, and the restricted kinds must still agree with the scan.
+    big = GroupType((2,) * 7)
+    assert _maximal_subgroups(big.factors) is None
+    for tag in ("chi_hat_h", "chi_hat_interval"):
+        value, witness = search_critical_witness(OracleQuery(big, CriticalKind(tag, 2)), budget=128)
+        assert value == critical_number(128, 2) and is_generating(witness)
+    monkeypatch.setattr(oracle, "_MAX_MASKS", 0)
+    _maximal_subgroups.cache_clear()
+    try:
+        for n in range(2, 11):
+            for g in abelian_types(n):
+                assert _maximal_subgroups(g.factors) is None
+                for tag, param in itertools.product(("chi_hat_h", "chi_hat_interval"), (1, 2, 3)):
+                    q = OracleQuery(g, CriticalKind(tag, param))
+                    value, witness = search_critical_witness(q)
+                    assert value == brute_critical_witness(q)[0], q
+                    assert _witness_problems(q, value, witness) == [], q
+    finally:
+        _maximal_subgroups.cache_clear()
 
 
 def test_search_witness_recheck_fails_closed():
@@ -437,11 +462,53 @@ def test_matching_bound_is_sound():
             if any(misses(bits | sum(1 << y for y in extra)) for extra in itertools.combinations(cand, k))
         )
         cut = len(cand) - largest + 1
-        assert _matching_size(layout, layer, cand_bits, cut) < cut, (group, kind, hex(bits), target, cand)
+        assert _greedy_matching(layout, layer, cand_bits, cut).bit_count() < cut, (group, kind, hex(bits), target, cand)
         states += 1
         # the bound is exact here: a matching of cut - 1 pairs is found
-        tight += cut > 1 and _matching_size(layout, layer, cand_bits, cut - 1) == cut - 1
+        tight += cut > 1 and _greedy_matching(layout, layer, cand_bits, cut - 1).bit_count() == cut - 1
     assert tight > 100
+
+
+def test_matching_bound_survives_pops():
+    # The search pops candidates from the lowest up and keeps the lower ends
+    # of its matching that are still candidates.  After every pop those pairs
+    # must still bound the largest extension of A inside what is left, for
+    # every need the matching may have stopped at.
+    rng = random.Random(11)
+    groups = [g for n in range(2, 13) for g in abelian_types(n)]
+    kinds = [CriticalKind(tag, p) for tag in ("chi_h", "chi_interval") for p in (2, 3)] + [CriticalKind("cr")]
+    states = paired = 0
+    while states < 100:
+        group, kind = rng.choice(groups), rng.choice(kinds)
+        n = group.order
+        layout = layout_for(group)
+        target = rng.randrange(n)
+        bits = sum(1 << x for x in rng.sample(range(1, n), rng.randrange(min(3, n - 1))))
+
+        def misses(mask):
+            return not _expansion(layout, kind, mask) >> target & 1
+
+        if not misses(bits):
+            continue
+        cand = [y for y in range(n) if not bits >> y & 1 and misses(bits | 1 << y)]
+        cand = sorted(rng.sample(cand, min(len(cand), 8)))
+        layer = _conflict_layer(group, kind, bits, target)
+        extensions = [
+            extra
+            for k in range(len(cand) + 1)
+            for extra in itertools.combinations(cand, k)
+            if misses(bits | sum(1 << y for y in extra))
+        ]
+        for need in range(1, len(cand) // 2 + 1):
+            lows = _greedy_matching(layout, layer, sum(1 << y for y in cand), need)
+            paired += lows != 0
+            for j in range(len(cand) + 1):
+                rest = cand[j:]
+                largest = max(len(e) for e in extensions if set(e) <= set(rest))
+                surviving = (lows & sum(1 << y for y in rest)).bit_count()
+                assert surviving <= len(rest) - largest, (group, kind, hex(bits), target, cand, need, j)
+        states += 1
+    assert paired > 100
 
 
 def test_brute_critical_returns_search_value():

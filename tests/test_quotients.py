@@ -213,7 +213,7 @@ def test_lift_preimage_matches_projection(group):
 @pytest.mark.parametrize("group", [GroupType((2, 2048)), GroupType((2, 2, 1024))], ids=str)
 def test_lift_preimage_below_a_top_aligned_chain(group):
     # Unit coordinates under many quotient digits: every run of the mask to
-    # spread is one bit wide, and there are up to d of them.
+    # repeat is one bit wide, and there are up to d of them.
     n = group.order
     rng = random.Random(n * 3 + group.rank)
     for d in divisors(n)[1:]:

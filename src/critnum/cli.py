@@ -30,7 +30,6 @@ from typing import Callable
 from .errors import BudgetExceeded, CritnumError, InvalidOrder, WrongGroupClass
 from .formulas import (
     CriticalKind,
-    critical_number,
     generating_interval_critical_s3,
     generating_interval_critical_two_group,
     generating_interval_cyclic_divisors,
@@ -72,10 +71,9 @@ def _divisor_branch(ds) -> str:
 
 def _fold_rows(quantity, group, param, guarded):
     kind = CriticalKind(quantity, param)  # refuses a bad h or s
-    _, maxers = max_incomplete_divisors(group.order, param)
+    size, maxers = max_incomplete_divisors(group.order, param)
     builder = interval_witness if kind.mode == "interval" else hfold_witness
-    value = critical_number(group.order, param)
-    return [(quantity, param, value, _divisor_branch(maxers), lambda: builder(group, param))]
+    return [(quantity, param, size + 1, _divisor_branch(maxers), lambda: builder(group, param))]
 
 
 def _cyclic_rows(quantity, group, s, guarded):

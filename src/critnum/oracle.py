@@ -26,18 +26,20 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetExceeded, ConstructionInvariantViolated, InvalidOrder, InvalidWorkers
+from .errors import BudgetExceeded, InvalidOrder, InvalidWorkers
 from .formulas import CriticalKind
 from .groups import GroupType, _is_int, factorize
 from .quotients import closure_bits
 from .sumsets import (
     GroupSubset,
+    _multiples,
     hfold_bits,
     interval_bits,
     layout_for,
     subset_sums_bits,
     translate_bits,
 )
+from .witnesses import _verified
 
 DEFAULT_QUERY_BUDGET = 20
 DEFAULT_SWEEP_BUDGET = 16
@@ -95,17 +97,6 @@ def brute_critical_witness(
                 continue
             return k + 1, GroupSubset(group, bits)
     return 1, None
-
-
-@lru_cache(maxsize=512)
-def _multiples(factors: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Flat index of k*x for every flat index x, one coordinate at a time."""
-    table = [0]
-    stride = 1
-    for f in factors:
-        table = [(k * c % f) * stride + prev for c in range(f) for prev in table]
-        stride *= f
-    return tuple(table)
 
 
 def _digits(factors: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -299,8 +290,7 @@ def search_critical_witness(
     Each node keeps the masks of `_maximal_subgroups` that contain its set,
     so a set generates when none is left; past `_MAX_MASKS` masks there is
     no generation cut and a would-be new best is tested by `closure_bits`.
-    The result is re-checked with the sumset kernels and `closure_bits`
-    before it is returned.
+    The result passes `witnesses._verified` before it is returned.
     """
     group = query.group
     factors = group.factors
@@ -312,6 +302,7 @@ def search_critical_witness(
     kind = query.kind
     mode = kind.mode
     param = kind.param
+    deeper = range(1, param or 1)  # the layers past D[0]; subset sums have none
     restrict = kind.restricts_to_generating
     pool = full ^ 1 if kind.excludes_zero else full
     anchors = _anchor_representatives(factors, param if kind.tag == "chi_h" else 0)
@@ -323,8 +314,7 @@ def search_critical_witness(
     # at the root by `alone`, the others are checked element by element.
     middle = [(param - j, _multiples(factors, j)) for j in range(2, param)] if param else []
 
-    maxes = _maximal_subgroups(factors) if restrict else ()
-    closing = maxes is None  # too many maximal subgroups: test new bests by closure
+    maxes = _maximal_subgroups(factors) if restrict else ()  # None: test new bests by closure
     # two candidates y, z conflict when y + z lies in this layer
     conflict_level = 0 if mode == "sums" else param - 2 if param >= 2 else None
 
@@ -353,59 +343,39 @@ def search_critical_witness(
             pairs &= cand
             minus_x = neg[low.bit_length() - 1]
             grown = bits | low
-            if mode == "sums":
-                layer = layers[0]
-                layer |= translate_bits(layout, layer, minus_x)
-                new_layers = [layer]
-                new_cand = cand & ~layer
-            else:
-                new_layers = [layers[0]]
-                prev = layers[0]
-                for k in range(1, param):
-                    prev = layers[k] | translate_bits(layout, prev, minus_x)
-                    new_layers.append(prev)
-                new_cand = cand & ~prev
-                for level, times_j in middle:
-                    mask = new_layers[level]
-                    c = new_cand
-                    while c:
-                        y = c & -c
-                        c ^= y
-                        if mask >> times_j[y.bit_length() - 1] & 1:
-                            new_cand ^= y
+            prev = layers[0]
+            if mode == "sums":  # D' = D | (D - x)
+                prev |= translate_bits(layout, prev, minus_x)
+            new_layers = [prev]
+            for k in deeper:
+                prev = layers[k] | translate_bits(layout, prev, minus_x)
+                new_layers.append(prev)
+            new_cand = cand & ~prev
+            for level, times_j in middle:
+                mask = new_layers[level]
+                c = new_cand
+                while c:
+                    y = c & -c
+                    c ^= y
+                    if mask >> times_j[y.bit_length() - 1] & 1:
+                        new_cand ^= y
             grown_around = [m for m in around if m & low] if around else around
-            if size + 1 > best and not grown_around and (not closing or closure_bits(layout, grown) == full):
+            if size + 1 > best and not grown_around and (
+                    maxes is not None or closure_bits(layout, grown) == full):
                 best, best_bits = size + 1, grown
             descend(grown, size + 1, new_cand, new_layers, grown_around)
 
     for g in anchors:
         anchor = 1 << g
-        if mode == "sums":
-            layers = [anchor]
-        else:
-            # g - [0,k]{} = {g} for every k; g - k{} is empty for k >= 1
-            layers = [anchor] + [anchor if mode == "interval" else 0] * (param - 1)
+        # g - [0,k]{} = {g} for every k; g - k{} is empty for k >= 1
+        layers = [anchor] + [anchor if mode == "interval" else 0] * len(deeper)
         descend(0, 0, pool & ~alone[g], layers, list(maxes or ()))
 
     if best < 0:
         return 1, None
-    _recheck_witness(query, layout, best_bits)
+    _verified(f"search_critical_witness({kind.tag}, {param})", layout, best_bits, best,
+              _expansion(layout, kind, best_bits), generating=restrict, zero_free=kind.excludes_zero)
     return best + 1, GroupSubset(group, best_bits)
-
-
-def _recheck_witness(query: OracleQuery, layout, bits: int) -> None:
-    """Fail closed: the search's witness must qualify by the kernels' verdict."""
-    problems = []
-    if _expansion(layout, query.kind, bits) == layout.full:
-        problems.append("its expansion covers the group")
-    if query.kind.restricts_to_generating and closure_bits(layout, bits) != layout.full:
-        problems.append("it does not generate")
-    if query.kind.excludes_zero and bits & 1:
-        problems.append("it contains zero")
-    if problems:
-        raise ConstructionInvariantViolated(
-            f"search witness {bits:#x} for {query.kind.tag} on {query.group}: " + ", ".join(problems)
-        )
 
 
 def brute_critical(query: OracleQuery, *, budget: int | None = None, workers: int = 1) -> int:

@@ -32,6 +32,17 @@ from .groups import GroupType, _is_int, factorize
 MAX_LAYOUT_ORDER = 1 << 18
 
 
+@lru_cache(maxsize=512)
+def _multiples(factors: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """Flat index of k*x for every flat index x, one coordinate at a time."""
+    table = [0]
+    stride = 1
+    for f in factors:
+        table = [(k * c % f) * stride + prev for c in range(f) for prev in table]
+        stride *= f
+    return tuple(table)
+
+
 class Layout:
     """Precomputed bit-level tables for one group shape.
 
@@ -65,7 +76,6 @@ class Layout:
         # Tables indexed by flat index, extended one coordinate at a time
         # with the first coordinate varying fastest.
         ops: list[tuple] = [()]
-        neg = [0]
         axes = []
         stride = 1
         for f in group.factors:
@@ -82,10 +92,9 @@ class Layout:
                     low = rep * ((1 << (block - up)) - 1)
                     tails.append(((low << up, full ^ low, up, block - up),))
             ops = [prev + tail for tail in tails for prev in ops]
-            neg = [(-c % f) * stride + prev for c in range(f) for prev in neg]
             stride = block
         self.shift_ops = tuple(ops)
-        self.neg_index = tuple(neg)
+        self.neg_index = _multiples(self.factors, -1)
         self.axes = tuple(axes)
 
 
@@ -298,10 +307,6 @@ class GroupSubset:
 
     def to_element_list(self) -> list[list[int]]:
         return [list(e) for e in self.elements()]
-
-    @classmethod
-    def from_element_list(cls, group: GroupType, payload: Iterable[Sequence[int]]) -> "GroupSubset":
-        return cls.from_elements(group, payload)
 
     def to_hex(self) -> str:
         width = (self.group.order + 3) // 4

@@ -9,9 +9,9 @@ product-of-blocks set.  The interval bound witnesses realize the coset
 lower bound for the generating interval critical number: a small pattern
 in a quotient, pulled back to the full group.
 
-Constructors are fail-closed: every certificate passes one check,
-`_verified`, which recomputes size, generation, and incompleteness with
-the kernels before the certificate is returned.
+Constructors are fail-closed: every certificate, and the oracle search's
+witness, passes one check, `_verified`, which recomputes size,
+generation, and incompleteness with the kernels before it is returned.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .quotients import (
     quotient_type_feasible,
     spec_for_quotient_type,
 )
-from .sumsets import GroupSubset, hfold_bits, interval_bits, layout_for, translate_bits
+from .sumsets import GroupSubset, Layout, hfold_bits, interval_bits, layout_for, translate_bits
 
 
 @dataclass(frozen=True)
@@ -95,22 +95,23 @@ class BoundCertificate:
         }
 
 
-def _verified(builder: str, group: GroupType, bits: int, size: int, expansion, param: int,
-              *, generating: bool) -> bool:
+def _verified(builder: str, layout: Layout, bits: int, size: int, expansion: int,
+              *, generating: bool, zero_free: bool = False) -> bool:
     """Fail closed: recompute a built set's size, generation and incompleteness.
 
-    `expansion(layout, bits, param)` is the sumset kernel the set must not
-    fill.  Raises ConstructionInvariantViolated naming the builder when the
-    size is wrong, the expansion covers the group, or the set must generate
-    and does not; otherwise returns whether the set generates.
+    `expansion` is the mask of the set's sumset, computed by the caller with
+    a kernel.  Raises ConstructionInvariantViolated naming the builder when
+    the size is wrong, the expansion covers the group, the set must
+    generate and does not, or it must leave out zero and holds it;
+    otherwise returns whether the set generates.
     """
-    layout = layout_for(group)
     generates = closure_bits(layout, bits) == layout.full
-    incomplete = expansion(layout, bits, param) != layout.full
-    if bits.bit_count() != size or not incomplete or (generating and not generates):
+    incomplete = expansion != layout.full
+    if (bits.bit_count() != size or not incomplete or (generating and not generates)
+            or (zero_free and bits & 1)):
         raise ConstructionInvariantViolated(
-            f"{builder} for {group} failed verification: size {bits.bit_count()} vs {size}, "
-            f"generates={generates}, incomplete={incomplete}"
+            f"{builder} for {GroupType(layout.factors)} failed verification: size {bits.bit_count()} vs "
+            f"{size}, generates={generates}, incomplete={incomplete}, holds zero={bool(bits & 1)}"
         )
     return generates
 
@@ -153,7 +154,8 @@ def hfold_witness(group: GroupType, h: int) -> WitnessCertificate:
     _check_h(h)
     expected, maximizers = max_incomplete_divisors(group.order, h)
     bits, branch = _hfold_witness_bits(group, h, maximizers)
-    _verified(f"hfold_witness(h={h})", group, bits, expected, hfold_bits, h, generating=True)
+    layout = layout_for(group)
+    _verified(f"hfold_witness(h={h})", layout, bits, expected, hfold_bits(layout, bits, h), generating=True)
     return WitnessCertificate(group, "hfold", h, GroupSubset(group, bits), expected, True, True, branch)
 
 
@@ -170,7 +172,8 @@ def interval_witness(group: GroupType, s: int) -> WitnessCertificate:
     low = base.subset.bits & -base.subset.bits
     bits = translate_bits(layout, base.subset.bits, layout.neg_index[low.bit_length() - 1])
     size = base.claimed_size
-    generates = _verified(f"interval_witness(s={s})", group, bits, size, interval_bits, s, generating=False)
+    expansion = interval_bits(layout, bits, s)
+    generates = _verified(f"interval_witness(s={s})", layout, bits, size, expansion, generating=False)
     subset = GroupSubset(group, bits)
     return WitnessCertificate(group, "interval", s, subset, size, generates, True, "translate")
 
@@ -211,7 +214,9 @@ def interval_bound_witness(
     witness = lift_preimage(spec, GroupSubset(spec.quotient, pattern))
     bound = (1 + sum(cs)) * (group.order // spec.index) + 1
     builder = f"interval_bound_witness(type={ds}, counts={cs}, s={s})"
-    _verified(builder, group, witness.bits, bound - 1, interval_bits, s, generating=True)
+    layout = layout_for(group)
+    bits = witness.bits
+    _verified(builder, layout, bits, bound - 1, interval_bits(layout, bits, s), generating=True)
     return BoundCertificate(group, s, ds, cs, bound, witness, True, True)
 
 

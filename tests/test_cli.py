@@ -2,7 +2,8 @@
 
 import json
 
-from critnum import GroupType, best_interval_bound, hfold_witness, parse_group
+from critnum import ConstructionInvariantViolated, GroupType, best_interval_bound, hfold_witness, parse_group
+from critnum import cli
 from critnum.cli import main
 
 CSV_HEADER = "group,n,quantity,param,formula,oracle,witness_ok,branch"
@@ -170,6 +171,19 @@ def test_verify_rejects_nonpositive_workers(capsys):
         assert code == 2
         assert out == ""
         assert "usage error: --workers must be at least 1" in err
+
+
+def test_verify_reports_a_failing_certificate(capsys, monkeypatch):
+    def broken(group, h):
+        raise ConstructionInvariantViolated("broken builder")
+
+    monkeypatch.setattr(cli, "hfold_witness", broken)
+    code, out, err = run(capsys, "verify", "--quantity", "chi_h", "--group", "8", "--h", "2")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[1].split()[:7] == ["8", "8", "chi_h", "2", "5", "5", "false"]
+    assert "MISMATCH group=8 quantity=chi_h param=2 formula=5 oracle=5 witness_ok=False" in lines
+    assert lines[-1] == "verified 1 rows: 1 mismatches"
 
 
 def test_budget_refusal_and_ack(capsys):

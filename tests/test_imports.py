@@ -1,15 +1,18 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and no private code is dead.
 
 No linter ships with the project, so this parses `src/critnum/*.py` and
 `tests/**/*.py` with `ast`.  A name counts as used when it is read anywhere in the module or
-listed in its `__all__` (the package's re-exports).
+listed in its `__all__` (the package's re-exports).  A module-level private
+name (`_name`) of the package must be read somewhere in the package outside
+its own definition, and must not rebind a name its module imports.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "critnum").glob("*.py")) + sorted((ROOT / "tests").glob("**/*.py"))
+PACKAGE = sorted((ROOT / "src" / "critnum").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("**/*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -38,3 +41,42 @@ def test_no_unused_imports():
         for problem in _unused_imports(ast.parse(path.read_text(), str(path)))
     ]
     assert unused == []
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    """The names a module-level statement binds by def, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.AnnAssign):
+        return [node.target.id] if isinstance(node.target, ast.Name) else []
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return []
+
+
+def _read(node: ast.AST) -> set[str]:
+    """Names a statement reads, as a bare name, an attribute or an import."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_no_dead_private_names():
+    modules = {path: ast.parse(path.read_text(), str(path)).body for path in PACKAGE}
+    reads = [(node, _read(node)) for body in modules.values() for node in body]
+    dead = []
+    for path, body in modules.items():
+        imported = {a.asname or a.name for node in body if isinstance(node, ast.ImportFrom) for a in node.names}
+        for node in body:
+            for name in _defined(node):
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                if name in imported or not any(name in names for other, names in reads if other is not node):
+                    dead.append(f"{path.relative_to(ROOT)} line {node.lineno}: {name}")
+    assert dead == []

@@ -44,12 +44,11 @@ from critnum.oracle import (
     _expansion,
     _greedy_matching,
     _maximal_subgroups,
-    _multiples,
-    _recheck_witness,
     _singleton_hits,
 )
 from critnum.quotients import closure_bits
-from critnum.sumsets import layout_for, translate_bits
+from critnum.sumsets import _multiples, layout_for, translate_bits
+from critnum.witnesses import _verified
 from reference import add_indices, brute_quotient_types, enumerate_subgroups, neg_index, scalar_index
 
 
@@ -221,17 +220,29 @@ def test_search_past_the_mask_cap_matches_scan(monkeypatch):
         _maximal_subgroups.cache_clear()
 
 
-def test_search_witness_recheck_fails_closed():
-    q = OracleQuery(cyclic(6), CriticalKind("chi_hat_h", 2))
-    layout = layout_for(q.group)
-    _recheck_witness(q, layout, 0b101010)  # {1, 3, 5}: generates, misses 0
+def test_search_witness_recheck_fails_closed(monkeypatch):
+    # the search sends its witness through the builders' one check, with
+    # the expansion, generation and zero rules of its kind
+    group = cyclic(6)
+    layout = layout_for(group)
+
+    def check(kind, bits):
+        _verified("search", layout, bits, bits.bit_count(), _expansion(layout, kind, bits),
+                  generating=kind.restricts_to_generating, zero_free=kind.excludes_zero)
+
+    hat = CriticalKind("chi_hat_h", 2)
+    check(hat, 0b101010)  # {1, 3, 5}: generates, misses 0
     for bits in (layout.full, 0b010100):  # complete, non-generating
         with pytest.raises(ConstructionInvariantViolated):
-            _recheck_witness(q, layout, bits)
-    q = OracleQuery(cyclic(6), CriticalKind("cr_star"))
-    _recheck_witness(q, layout, 0b000010)  # {1}: sums {0, 1}
+            check(hat, bits)
+    star = CriticalKind("cr_star")
+    check(star, 0b000010)  # {1}: sums {0, 1}
     with pytest.raises(ConstructionInvariantViolated):
-        _recheck_witness(q, layout, 0b000011)  # {0, 1}: holds 0
+        check(star, 0b000011)  # {0, 1}: sums {0, 1}, but holds 0
+    # a search whose kernel calls every set complete fails the check
+    monkeypatch.setattr(oracle, "_expansion", lambda layout, kind, bits: layout.full)
+    with pytest.raises(ConstructionInvariantViolated, match="search_critical_witness"):
+        search_critical_witness(OracleQuery(group, hat))
 
 
 def _basis(group: GroupType) -> list[int]:

@@ -338,7 +338,7 @@ def test_element_list_roundtrip():
     a = GroupSubset.from_elements(g, [(0, 0), (1, 3)])
     payload = a.to_element_list()
     assert payload == [[0, 0], [1, 3]]
-    assert GroupSubset.from_element_list(g, payload) == a
+    assert GroupSubset.from_elements(g, payload) == a
 
 
 def test_hex_roundtrip():

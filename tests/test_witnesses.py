@@ -7,6 +7,7 @@ import pytest
 
 from critnum import (
     ConditionViolated,
+    ConstructionInvariantViolated,
     GroupSubset,
     GroupType,
     QuotientUnavailable,
@@ -25,6 +26,7 @@ from critnum import (
     max_incomplete_size,
     subgroup_generated,
 )
+from critnum import witnesses
 from critnum.groups import divisors
 from critnum.quotients import quotient_type_feasible
 
@@ -98,6 +100,29 @@ def test_interval_witness_contains_zero():
             assert cert.subset.contains_index(0)
             assert cert.claimed_size == max_incomplete_size(n, s)
             assert not is_complete(interval_sumset(cert.subset, s))
+
+
+# Sets of Z8 that each break one rule the certificates of Z8 at h = s = 2
+# keep: four elements, generating, missing an element of 2A and [0,2]A.
+BAD_Z8_SETS = {
+    "one-short": [1, 4, 5],
+    "complete": [0, 1, 2, 5],
+    "non-generating": [0, 2, 4, 6],
+}
+
+
+@pytest.mark.parametrize("indices", BAD_Z8_SETS.values(), ids=BAD_Z8_SETS.keys())
+def test_builders_fail_closed(monkeypatch, indices):
+    g = cyclic(8)
+    bad = GroupSubset.from_indices(g, indices)
+    monkeypatch.setattr(witnesses, "_hfold_witness_bits", lambda group, h, maximizers: (bad.bits, "quotient"))
+    monkeypatch.setattr(witnesses, "lift_preimage", lambda spec, subset: bad)
+    with pytest.raises(ConstructionInvariantViolated, match="hfold_witness"):
+        hfold_witness(g, 2)
+    with pytest.raises(ConstructionInvariantViolated, match="hfold_witness"):
+        interval_witness(g, 2)
+    with pytest.raises(ConstructionInvariantViolated, match="interval_bound_witness"):
+        interval_bound_witness(g, (4,), (1,), 2)
 
 
 def test_interval_bound_witness_cyclic():
@@ -219,7 +244,7 @@ def test_witness_json_roundtrip():
     assert payload["param"] == 3
     assert payload["size"] == 4
     assert payload["generates"] is True and payload["incomplete"] is True
-    assert GroupSubset.from_element_list(g, payload["elements"]) == cert.subset
+    assert GroupSubset.from_elements(g, payload["elements"]) == cert.subset
 
 
 def test_bound_json_roundtrip():
@@ -229,7 +254,7 @@ def test_bound_json_roundtrip():
     assert payload["quotient_type"] == [2, 2, 2]
     assert payload["c_vector"] == [1, 1, 1]
     assert payload["bound"] == 9
-    assert GroupSubset.from_element_list(g, payload["elements"]).size == 8
+    assert GroupSubset.from_elements(g, payload["elements"]).size == 8
     trivial = best_interval_bound(cyclic(2), 3).to_json_dict()
     assert trivial["bound"] == 1
     assert trivial["elements"] is None

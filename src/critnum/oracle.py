@@ -8,8 +8,10 @@ returns its value.  Besides the size cut, the search cuts a branch by a
 greedy matching in the graph of candidate pairs that cannot join
 together, and, for the generating kinds, when all it can still reach lies
 in one maximal subgroup; it tests generation against one mask per
-maximal subgroup (by closure for groups with more than `_MAX_MASKS`).
-The search shares no logic with the closed forms.
+maximal subgroup (by closure for groups with more than `_MAX_MASKS`), and
+branches first on a candidate outside the masks that still contain the
+set, so that the generation cut fires early.  The search shares no logic
+with the closed forms.
 
 `brute_critical_witness` is the definition-literal scan and the ground
 truth the search is tested against.  It enumerates subset sizes in
@@ -211,18 +213,27 @@ def _expansion(layout, kind: CriticalKind, bits: int) -> int:
 
 
 @lru_cache(maxsize=512)
+def _preimages(factors: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """Per element m, the mask of the elements y with j*y = m."""
+    pre = [0] * math.prod(factors)
+    for y, jy in enumerate(_multiples(factors, j)):
+        pre[jy] |= 1 << y
+    return tuple(pre)
+
+
+@lru_cache(maxsize=512)
 def _singleton_hits(factors: tuple[int, ...], kind: CriticalKind) -> tuple[int, ...]:
     """Per element g, the mask of the elements y whose {y} expands onto g.
 
     {y} expands to {h*y} (h-fold), {0, y, ..., s*y} (interval) or {0, y}
-    (sums), so the hits are read off the tables of multiples.
+    (sums), so the hits are the preimages of g under those multiples.
     """
     # {0, y} = [0,1]{y}, so the sums kind reads the multiples 0 and 1
     folds = [kind.param] if kind.mode == "hfold" else range((kind.param or 1) + 1)
     hits = [0] * math.prod(factors)
     for j in folds:
-        for y, jy in enumerate(_multiples(factors, j)):
-            hits[jy] |= 1 << y
+        for m, pre in enumerate(_preimages(factors, j)):
+            hits[m] |= pre
     return tuple(hits)
 
 
@@ -267,14 +278,23 @@ def search_critical_witness(
     For each anchor g, one per orbit of `_anchor_representatives` (the
     automorphisms generated by per-coordinate unit scalings and
     transvections, plus translations by param*t for the whole-group h-fold
-    kind), a depth-first search adds pool elements in index order and keeps
+    kind), a depth-first search adds pool elements one at a time and keeps
     the layers D[k] = g - [0,k]A (interval kinds) or g - kA (h-fold kinds) for
     k < param, where the new set's layers are D'[0] = {g} and
     D'[k] = D[k] | (D'[k-1] - x).  The expansion of A + {y} reaches g exactly
     when j*y lies in D[param - j] for some 1 <= j <= param, so the remaining
     candidates are filtered against the layers once per node; a filtered
-    candidate never returns, because the layers only grow.  For subset
-    sums the single layer is D = g - Sum(A) with D' = D | (D - x).
+    candidate never returns, because the layers only grow.  For the same
+    reason a child tests only what is new to its layers: j = 1 is one mask
+    operation, j = param is settled at the root, and for the others each
+    element m new to D[param - j] drops its preimages {y : j*y = m}.  For
+    subset sums the single layer is D = g - Sum(A) with D' = D | (D - x).
+
+    A node branches on its lowest candidate, except that for the generating
+    kinds it takes, among the masks that still contain its set, the one
+    leaving the fewest candidates outside, and branches on the lowest of
+    those unless the lowest candidate is one.  The popped element joins the
+    child and leaves the rest of the loop, so every order is exhaustive.
 
     Three cuts end a branch whose sets cannot beat the best size found for
     any anchor so far:
@@ -284,12 +304,15 @@ def search_critical_witness(
       independent set of that conflict graph and a matching M of it bounds
       them by size + |cand| - |M|.  A node runs `_greedy_matching` when
       |cand| // 2 pairs would be enough and best has grown since its last
-      run; in between, each pop drops the pair whose lower end it takes;
+      run; in between, each pop drops the pair whose lower end it takes,
+      and a pop that is not the lowest candidate, which may take an upper
+      end, drops every pair so that the node matches again;
     - generation (generating kinds only): the set and all its candidates
       lie in one maximal subgroup.
     Each node keeps the masks of `_maximal_subgroups` that contain its set,
     so a set generates when none is left; past `_MAX_MASKS` masks there is
-    no generation cut and a would-be new best is tested by `closure_bits`.
+    no generation cut or generation-first branch, and a would-be new best
+    is tested by `closure_bits`.
     The result passes `witnesses._verified` before it is returned.
     """
     group = query.group
@@ -311,8 +334,9 @@ def search_critical_witness(
     alone = _singleton_hits(factors, kind)
     # Candidate y is dropped when j*y lands in layer param - j: j = 1 is a
     # mask operation, j = param meets the constant layer {g} and is settled
-    # at the root by `alone`, the others are checked element by element.
-    middle = [(param - j, _multiples(factors, j)) for j in range(2, param)] if param else []
+    # at the root by `alone`, and for the others each element new to the
+    # layer drops its preimages under j (the older ones already have).
+    middle = [(param - j, _preimages(factors, j)) for j in range(2, param)] if param else []
 
     maxes = _maximal_subgroups(factors) if restrict else ()  # None: test new bests by closure
     # two candidates y, z conflict when y + z lies in this layer
@@ -331,18 +355,27 @@ def search_critical_witness(
             count = cand.bit_count()
             if size + count - pairs.bit_count() <= best:
                 return
-            if around and not all((bits | cand) & ~m for m in around):
-                return
+            x = low = cand & -cand
+            if around:
+                # branch outside the mask that leaves the fewest candidates
+                # outside; none left means bits | cand lies inside it
+                outside = min((cand & ~m for m in around), key=int.bit_count)
+                if not outside:
+                    return
+                if not low & outside:
+                    x = outside & -outside
             need = size + count - best
             if conflict_level is not None and paired_at != best and count // 2 >= need:
                 pairs, paired_at = _greedy_matching(layout, layers[conflict_level], cand, need), best
                 if pairs.bit_count() >= need:
                     return
-            low = cand & -cand
-            cand ^= low
-            pairs &= cand
-            minus_x = neg[low.bit_length() - 1]
-            grown = bits | low
+            cand ^= x
+            if x == low:
+                pairs &= cand
+            else:  # x may be the upper end of a pair
+                pairs, paired_at = 0, None
+            minus_x = neg[x.bit_length() - 1]
+            grown = bits | x
             prev = layers[0]
             if mode == "sums":  # D' = D | (D - x)
                 prev |= translate_bits(layout, prev, minus_x)
@@ -351,15 +384,13 @@ def search_critical_witness(
                 prev = layers[k] | translate_bits(layout, prev, minus_x)
                 new_layers.append(prev)
             new_cand = cand & ~prev
-            for level, times_j in middle:
-                mask = new_layers[level]
-                c = new_cand
-                while c:
-                    y = c & -c
-                    c ^= y
-                    if mask >> times_j[y.bit_length() - 1] & 1:
-                        new_cand ^= y
-            grown_around = [m for m in around if m & low] if around else around
+            for level, pre in middle:
+                fresh = new_layers[level] & ~layers[level]
+                while fresh:
+                    z = fresh & -fresh
+                    fresh ^= z
+                    new_cand &= ~pre[z.bit_length() - 1]
+            grown_around = [m for m in around if m & x] if around else around
             if size + 1 > best and not grown_around and (
                     maxes is not None or closure_bits(layout, grown) == full):
                 best, best_bits = size + 1, grown

@@ -1,0 +1,65 @@
+"""Opt-in timing of the exact search at its s = 3 frontier.
+
+Runs `search_critical_witness` on the `chi_hat_interval` queries of the
+ROADMAP's stall table and on every non-exponent-2 type of order 48 at
+s = 3 (the orders past acceptance tier A14).  Each value is checked against
+its closed form: the exponent-2 rank formula for Z2^r, the s = 3 structure
+formula otherwise.  Prints value and time per query and exits 1 on any
+mismatch.  pytest does not collect it (no `test_` prefix).  Run from the
+repository root:
+
+    PYTHONPATH=src python tests/s3_frontier.py
+"""
+
+import sys
+import time
+
+from critnum import (
+    CriticalKind,
+    GroupType,
+    OracleQuery,
+    abelian_types,
+    generating_interval_critical_s3,
+    generating_interval_critical_two_group,
+    search_critical_witness,
+)
+
+# (factors, s) for each single-query row of the stall table
+STALL_ROWS = [
+    ((2, 2, 2, 2, 2), 3),
+    ((2, 2, 12), 3),
+    ((4, 12), 3),
+    ((6, 6), 3),
+    ((2, 18), 3),
+    ((2, 2, 2, 6), 3),
+    ((3, 18), 3),
+    ((62,), 3),
+    ((2, 2, 2, 2, 2), 5),
+]
+
+
+def expected(group: GroupType, s: int) -> int:
+    if group.is_elementary_two:
+        return generating_interval_critical_two_group(group.rank, s)
+    return generating_interval_critical_s3(group)
+
+
+def main() -> int:
+    rows = [(GroupType(factors), s) for factors, s in STALL_ROWS]
+    rows += [(g, 3) for g in abelian_types(48) if not g.is_elementary_two and (g, 3) not in rows]
+    mismatches = 0
+    total = time.perf_counter()
+    for group, s in rows:
+        start = time.perf_counter()
+        got, _ = search_critical_witness(OracleQuery(group, CriticalKind("chi_hat_interval", s)), budget=group.order)
+        elapsed = time.perf_counter() - start
+        want = expected(group, s)
+        mismatches += got != want
+        verdict = "ok" if got == want else "MISMATCH"
+        print(f"{str(group):<16} s={s}  search {got:>3}  formula {want:>3}  {elapsed:7.2f} s  {verdict}", flush=True)
+    print(f"{len(rows)} queries, {mismatches} mismatches, {time.perf_counter() - total:.1f} s")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -44,6 +44,7 @@ from critnum.oracle import (
     _expansion,
     _greedy_matching,
     _maximal_subgroups,
+    _preimages,
     _singleton_hits,
 )
 from critnum.quotients import closure_bits
@@ -375,8 +376,13 @@ SMALL_TYPES = [g for n in range(2, 33) for g in abelian_types(n)]
 
 @pytest.mark.parametrize("group", SMALL_TYPES, ids=str)
 def test_multiples_match_scalar_index(group):
+    # and the preimage masks {y : k*y = m} the search filters by
+    n = group.order
     for k in list(range(6)) + [group.exponent - 1, group.exponent + 2]:
-        assert _multiples(group.factors, k) == tuple(scalar_index(group, k, x) for x in range(group.order)), k
+        times = [scalar_index(group, k, x) for x in range(n)]
+        assert _multiples(group.factors, k) == tuple(times), k
+        want = tuple(sum(1 << y for y, ky in enumerate(times) if ky == m) for m in range(n))
+        assert _preimages(group.factors, k) == want, k
 
 
 @pytest.mark.parametrize("group", SMALL_TYPES, ids=str)
@@ -425,10 +431,9 @@ def test_maximal_subgroup_masks_decide_generation(group):
     assert verdicts == {True, False}
 
 
-def _conflict_layer(group: GroupType, kind: CriticalKind, bits: int, target: int) -> int:
-    """target - (h-2)A, target - [0,s-2]A or target - Sum(A), from the public sumsets."""
+def _layer(group: GroupType, kind: CriticalKind, bits: int, target: int, k: int | None) -> int:
+    """target - kA, target - [0,k]A or (k None) target - Sum(A), from the public sumsets."""
     subset = GroupSubset(group, bits)
-    k = None if kind.mode == "sums" else kind.param - 2
     if not bits or k == 0:
         reached = [] if kind.mode == "hfold" and k else [0]  # kA = {} for k >= 1, else {0}
     elif kind.mode == "hfold":
@@ -438,6 +443,63 @@ def _conflict_layer(group: GroupType, kind: CriticalKind, bits: int, target: int
     else:
         reached = subset_sums(subset).indices()
     return sum(1 << add_indices(group, target, neg_index(group, x)) for x in reached)
+
+
+def _conflict_layer(group: GroupType, kind: CriticalKind, bits: int, target: int) -> int:
+    """target - (h-2)A, target - [0,s-2]A or target - Sum(A)."""
+    return _layer(group, kind, bits, target, None if kind.mode == "sums" else kind.param - 2)
+
+
+def test_incremental_middle_filter_matches_full_filter():
+    # Random search states: the layers D[k] of A (k < param) from the public
+    # sumsets, and cand, the y whose j*y misses D[param - j] for every
+    # 1 <= j <= param, by the full per-element filter.  The search filters a
+    # child of x by D'[param - 1] and, for 2 <= j < param, by the preimages
+    # under j of the elements new to D'[param - j] alone; that must leave
+    # what the full filter leaves of cand - x against the child's layers.
+    rng = random.Random(23)
+    groups = [g for n in range(2, 17) for g in abelian_types(n)]
+    tags = ("chi_h", "chi_hat_h", "chi_interval", "chi_hat_interval")
+    kinds = [CriticalKind(tag, p) for tag in tags for p in (3, 4, 5)]
+    states = pops = dropped = 0
+    while states < 300:
+        group, kind = rng.choice(groups), rng.choice(kinds)
+        n, param = group.order, kind.param
+        layout = layout_for(group)
+        target = rng.randrange(n)
+        bits = sum(1 << x for x in rng.sample(range(n), rng.randrange(min(4, n))))
+
+        def misses(mask):
+            return not _expansion(layout, kind, mask) >> target & 1
+
+        if not misses(bits):
+            continue
+        times = {j: [scalar_index(group, j, y) for y in range(n)] for j in range(1, param + 1)}
+
+        def layers(a):
+            return [_layer(group, kind, a, target, k) for k in range(param)]
+
+        def full_filter(pool, d):
+            return sum(1 << y for y in pool if not any(d[param - j] >> times[j][y] & 1 for j in times))
+
+        d = layers(bits)
+        cand = full_filter([y for y in range(n) if not bits >> y & 1], d)
+        assert cand == sum(1 << y for y in range(n) if not bits >> y & 1 and misses(bits | 1 << y))
+        for x in GroupSubset(group, cand).indices():
+            rest = cand ^ 1 << x
+            child = layers(bits | 1 << x)
+            want = full_filter(GroupSubset(group, rest).indices(), child)
+            got = rest & ~child[param - 1]
+            by_first_layer = got
+            for j in range(2, param):
+                fresh = child[param - j] & ~d[param - j]
+                for z in GroupSubset(group, fresh).indices():
+                    got &= ~_preimages(group.factors, j)[z]
+            assert got == want, (group, kind, hex(bits), target, x)
+            pops += 1
+            dropped += got != by_first_layer
+        states += 1
+    assert pops > 1000 and dropped > 300, (pops, dropped)
 
 
 def test_matching_bound_is_sound():
@@ -481,14 +543,19 @@ def test_matching_bound_is_sound():
 
 
 def test_matching_bound_survives_pops():
-    # The search pops candidates from the lowest up and keeps the lower ends
-    # of its matching that are still candidates.  After every pop those pairs
-    # must still bound the largest extension of A inside what is left, for
-    # every need the matching may have stopped at.
+    # The search keeps the lower ends of its matching that are still
+    # candidates.  Popping the lowest candidate takes out at most its own
+    # pair; popping another (generation-first branching) may take out the
+    # upper end of a pair, so the search then drops the pairs and matches
+    # again.  After every pop, from the lowest up or in random order, the
+    # pairs must still bound the largest extension of A inside what is
+    # left, for every need the matching may have stopped at.  Lower ends
+    # kept past an out-of-order pop go stale and break the bound.
     rng = random.Random(11)
+    order_rng = random.Random(13)
     groups = [g for n in range(2, 13) for g in abelian_types(n)]
     kinds = [CriticalKind(tag, p) for tag in ("chi_h", "chi_interval") for p in (2, 3)] + [CriticalKind("cr")]
-    states = paired = 0
+    states = paired = stale_breaks = 0
     while states < 100:
         group, kind = rng.choice(groups), rng.choice(kinds)
         n = group.order
@@ -510,16 +577,26 @@ def test_matching_bound_survives_pops():
             for extra in itertools.combinations(cand, k)
             if misses(bits | sum(1 << y for y in extra))
         ]
+
+        def bounds(pairs, rest):
+            largest = max(len(e) for e in extensions if set(e) <= set(rest))
+            return (pairs & sum(1 << y for y in rest)).bit_count() <= len(rest) - largest
+
         for need in range(1, len(cand) // 2 + 1):
             lows = _greedy_matching(layout, layer, sum(1 << y for y in cand), need)
             paired += lows != 0
             for j in range(len(cand) + 1):
-                rest = cand[j:]
-                largest = max(len(e) for e in extensions if set(e) <= set(rest))
-                surviving = (lows & sum(1 << y for y in rest)).bit_count()
-                assert surviving <= len(rest) - largest, (group, kind, hex(bits), target, cand, need, j)
+                assert bounds(lows, cand[j:]), (group, kind, hex(bits), target, cand, need, j)
+            rest, pairs, stale = list(cand), lows, lows
+            for x in order_rng.sample(cand, len(cand)):
+                lowest = rest[0]
+                rest.remove(x)
+                if x != lowest:
+                    pairs = _greedy_matching(layout, layer, sum(1 << y for y in rest), need)
+                assert bounds(pairs, rest), (group, kind, hex(bits), target, cand, need, rest)
+                stale_breaks += not bounds(stale, rest)
         states += 1
-    assert paired > 100
+    assert paired > 100 and stale_breaks > 50, (paired, stale_breaks)
 
 
 def test_brute_critical_returns_search_value():

@@ -3,8 +3,10 @@
 Every critical number is 1 plus the size of the largest qualifying set
 (for the generating-restricted kinds, the largest generating set) whose
 expansion misses some element g.  `search_critical_witness` fixes g and
-runs a depth-first search over the candidate elements; `brute_critical`
-returns its value.  Besides the size cut, the search cuts a branch by a
+runs a depth-first search over the candidate elements, in which the root
+is a node like any other; `brute_critical` returns its value.  As
+[0,s]A = [0,s](A | {0}), it searches the interval kinds only over sets
+holding 0.  Besides the size cut, the search cuts a branch by a
 greedy matching in the graph of candidate pairs that cannot join
 together, and, for the generating kinds, when all it can still reach lies
 in one maximal subgroup; it tests generation against one mask per
@@ -221,22 +223,6 @@ def _preimages(factors: tuple[int, ...], j: int) -> tuple[int, ...]:
     return tuple(pre)
 
 
-@lru_cache(maxsize=512)
-def _singleton_hits(factors: tuple[int, ...], kind: CriticalKind) -> tuple[int, ...]:
-    """Per element g, the mask of the elements y whose {y} expands onto g.
-
-    {y} expands to {h*y} (h-fold), {0, y, ..., s*y} (interval) or {0, y}
-    (sums), so the hits are the preimages of g under those multiples.
-    """
-    # {0, y} = [0,1]{y}, so the sums kind reads the multiples 0 and 1
-    folds = [kind.param] if kind.mode == "hfold" else range((kind.param or 1) + 1)
-    hits = [0] * math.prod(factors)
-    for j in folds:
-        for m, pre in enumerate(_preimages(factors, j)):
-            hits[m] |= pre
-    return tuple(hits)
-
-
 def _greedy_matching(layout, layer: int, cand: int, need: int) -> int:
     """A greedy matching in the conflict graph on cand, as the mask of the
     lower ends of its pairs.
@@ -273,22 +259,27 @@ def search_critical_witness(
 
     Same value and conventions as `brute_critical_witness` (value 1 and no
     witness when no set qualifies; the empty set is a witness for the
-    subset-sum kinds), but the witness may be a different extremal set.
+    subset-sum kinds), but the witness may be a different extremal set; for
+    the interval kinds it holds 0.
 
     For each anchor g, one per orbit of `_anchor_representatives` (the
     automorphisms generated by per-coordinate unit scalings and
     transvections, plus translations by param*t for the whole-group h-fold
-    kind), a depth-first search adds pool elements one at a time and keeps
-    the layers D[k] = g - [0,k]A (interval kinds) or g - kA (h-fold kinds) for
-    k < param, where the new set's layers are D'[0] = {g} and
-    D'[k] = D[k] | (D'[k-1] - x).  The expansion of A + {y} reaches g exactly
-    when j*y lies in D[param - j] for some 1 <= j <= param, so the remaining
-    candidates are filtered against the layers once per node; a filtered
-    candidate never returns, because the layers only grow.  For the same
-    reason a child tests only what is new to its layers: j = 1 is one mask
-    operation, j = param is settled at the root, and for the others each
-    element m new to D[param - j] drops its preimages {y : j*y = m}.  For
-    subset sums the single layer is D = g - Sum(A) with D' = D | (D - x).
+    kind), a depth-first search adds pool elements one at a time to a root
+    set and keeps the layers D[k] = g - [0,k]A (interval kinds) or g - kA
+    (h-fold kinds) for k < param, where the new set's layers are
+    D'[0] = {g} and D'[k] = D[k] | (D'[k-1] - x).  Since
+    [0,s]A = [0,s](A | {0}), the interval kinds start from the set {0},
+    whose layers are all {g}, and never branch on 0; the other kinds start
+    from the empty set.  The expansion of A + {y} reaches g exactly when
+    j*y lies in D[param - j] for some 1 <= j <= param, so each node, the
+    root included, filters the candidates its parent left against its
+    layers on entry; a filtered candidate never returns, because the layers
+    only grow.  For the same reason a node tests only what is new to its
+    layers since its parent's (all empty above the root): j = 1 is one mask
+    operation, and for 2 <= j <= param each element m new to D[param - j]
+    drops its preimages {y : j*y = m}.  For subset sums the single layer is
+    D = g - Sum(A) with D' = D | (D - x).
 
     A node branches on its lowest candidate, except that for the generating
     kinds it takes, among the masks that still contain its set, the one
@@ -327,27 +318,37 @@ def search_critical_witness(
     param = kind.param
     deeper = range(1, param or 1)  # the layers past D[0]; subset sums have none
     restrict = kind.restricts_to_generating
-    pool = full ^ 1 if kind.excludes_zero else full
+    # [0,s]A = [0,s](A | {0}), so the interval kinds search only sets holding 0
+    held = 1 if mode == "interval" else 0
+    pool = full ^ 1 if kind.excludes_zero or held else full
     anchors = _anchor_representatives(factors, param if kind.tag == "chi_h" else 0)
     if mode != "hfold":
         anchors = anchors[1:]  # drop 0, which lies in every [0,s]A and Sum(A)
-    alone = _singleton_hits(factors, kind)
     # Candidate y is dropped when j*y lands in layer param - j: j = 1 is a
-    # mask operation, j = param meets the constant layer {g} and is settled
-    # at the root by `alone`, and for the others each element new to the
-    # layer drops its preimages under j (the older ones already have).
-    middle = [(param - j, _preimages(factors, j)) for j in range(2, param)] if param else []
+    # mask operation, and for 2 <= j <= param each element new to the layer
+    # drops its preimages under j (the older ones already have).  The layer
+    # D[0] = {g} that j = param reads is new only at the root.
+    middle = [(param - j, _preimages(factors, j)) for j in range(2, param + 1)] if param else []
 
     maxes = _maximal_subgroups(factors) if restrict else ()  # None: test new bests by closure
     # two candidates y, z conflict when y + z lies in this layer
     conflict_level = 0 if mode == "sums" else param - 2 if param >= 2 else None
 
-    best = 0 if mode == "sums" else -1
-    best_bits = 0
+    best = -1 if restrict or mode == "hfold" else held
+    best_bits = held
 
-    def descend(bits: int, size: int, cand: int, layers: list[int], around: list[int]) -> None:
+    def descend(bits: int, size: int, cand: int, before: list[int], layers: list[int],
+                around: list[int]) -> None:
+        # cand: the parent's remaining candidates; before: the parent's layers;
         # around: the masks of the maximal subgroups that contain bits
         nonlocal best, best_bits
+        cand &= ~layers[-1]
+        for level, pre in middle:
+            fresh = layers[level] & ~before[level]
+            while fresh:
+                z = fresh & -fresh
+                fresh ^= z
+                cand &= ~pre[z.bit_length() - 1]
         # the lower ends of a matching in cand's conflict graph, computed when
         # best was paired_at; popping a lower end takes its pair out
         pairs, paired_at = 0, None
@@ -383,24 +384,17 @@ def search_critical_witness(
             for k in deeper:
                 prev = layers[k] | translate_bits(layout, prev, minus_x)
                 new_layers.append(prev)
-            new_cand = cand & ~prev
-            for level, pre in middle:
-                fresh = new_layers[level] & ~layers[level]
-                while fresh:
-                    z = fresh & -fresh
-                    fresh ^= z
-                    new_cand &= ~pre[z.bit_length() - 1]
             grown_around = [m for m in around if m & x] if around else around
             if size + 1 > best and not grown_around and (
                     maxes is not None or closure_bits(layout, grown) == full):
                 best, best_bits = size + 1, grown
-            descend(grown, size + 1, new_cand, new_layers, grown_around)
+            descend(grown, size + 1, cand, layers, new_layers, grown_around)
 
     for g in anchors:
         anchor = 1 << g
-        # g - [0,k]{} = {g} for every k; g - k{} is empty for k >= 1
+        # g - [0,k]{0} = g - Sum{} = {g} for every k; g - k{} is empty for k >= 1
         layers = [anchor] + [anchor if mode == "interval" else 0] * len(deeper)
-        descend(0, 0, pool & ~alone[g], layers, list(maxes or ()))
+        descend(held, held, pool, [0] * len(layers), layers, list(maxes or ()))
 
     if best < 0:
         return 1, None

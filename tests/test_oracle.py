@@ -45,7 +45,6 @@ from critnum.oracle import (
     _greedy_matching,
     _maximal_subgroups,
     _preimages,
-    _singleton_hits,
 )
 from critnum.quotients import closure_bits
 from critnum.sumsets import _multiples, layout_for, translate_bits
@@ -97,6 +96,8 @@ def _witness_problems(query: OracleQuery, value: int, witness) -> list[str]:
         problems.append("witness does not generate")
     if query.kind.excludes_zero and witness.contains_index(0):
         problems.append("witness contains zero")
+    if mode == "interval" and not witness.contains_index(0):
+        problems.append("interval witness lacks zero")
     return problems
 
 
@@ -386,20 +387,6 @@ def test_multiples_match_scalar_index(group):
 
 
 @pytest.mark.parametrize("group", SMALL_TYPES, ids=str)
-def test_singleton_hits_match_kernel_expansion(group):
-    # the table as it was built before: expand every singleton with the
-    # sumset kernels and record which elements it reaches
-    layout = layout_for(group)
-    kinds = [CriticalKind(tag, p) for tag in KIND_TAGS if tag not in ("cr", "cr_star") for p in range(1, 5)]
-    for kind in kinds + [CriticalKind("cr"), CriticalKind("cr_star")]:
-        hits = [0] * group.order
-        for y in range(group.order):
-            for g in GroupSubset(group, _expansion(layout, kind, 1 << y)).indices():
-                hits[g] |= 1 << y
-        assert _singleton_hits(group.factors, kind) == tuple(hits), kind
-
-
-@pytest.mark.parametrize("group", SMALL_TYPES, ids=str)
 def test_maximal_subgroups_are_the_prime_index_subgroups(group):
     # the reference lattice is built by closure, not from maps to Z_p
     n = group.order
@@ -451,10 +438,41 @@ def _conflict_layer(group: GroupType, kind: CriticalKind, bits: int, target: int
 
 
 def test_incremental_middle_filter_matches_full_filter():
+    def entry_filter(group, param, cand, before, layers):
+        # what a search node keeps of its parent's cand: it drops D[param - 1]
+        # and, for 2 <= j <= param, the preimages under j of the elements of
+        # D[param - j] that are not in the parent's layer before[param - j]
+        got = cand & ~layers[-1]
+        for j in range(2, (param or 1) + 1):
+            fresh = layers[param - j] & ~before[param - j]
+            for z in GroupSubset(group, fresh).indices():
+                got &= ~_preimages(group.factors, j)[z]
+        return got
+
+    # Root states: A = {} ({0} for the interval kinds, which hold it) with
+    # the parent layers all empty, on every small type, every kind at
+    # param 1..4 and every g that A misses.  The filter must leave exactly
+    # the pool elements y for which A | {y} still misses g.
+    kinds = [CriticalKind(tag, p) for tag in KIND_TAGS if tag not in ("cr", "cr_star") for p in range(1, 5)]
+    roots = 0
+    for group in SMALL_TYPES:
+        layout = layout_for(group)
+        for kind in kinds + [CriticalKind("cr"), CriticalKind("cr_star")]:
+            bits = 1 if kind.mode == "interval" else 0
+            pool = layout.full & ~bits & ~(1 if kind.excludes_zero else 0)
+            reach = {y: _expansion(layout, kind, bits | 1 << y) for y in GroupSubset(group, pool).indices()}
+            for target in GroupSubset(group, layout.full & ~_expansion(layout, kind, bits)).indices():
+                layers = [_layer(group, kind, bits, target, k) for k in (range(kind.param) if kind.param else [None])]
+                want = sum(1 << y for y, r in reach.items() if not r >> target & 1)
+                got = entry_filter(group, kind.param, pool, [0] * len(layers), layers)
+                assert got == want, (group, kind, target)
+                roots += 1
+    assert roots > 10000, roots
+
     # Random search states: the layers D[k] of A (k < param) from the public
     # sumsets, and cand, the y whose j*y misses D[param - j] for every
-    # 1 <= j <= param, by the full per-element filter.  The search filters a
-    # child of x by D'[param - 1] and, for 2 <= j < param, by the preimages
+    # 1 <= j <= param, by the full per-element filter.  A child of x filters
+    # cand - x by D'[param - 1] and, for 2 <= j <= param, by the preimages
     # under j of the elements new to D'[param - j] alone; that must leave
     # what the full filter leaves of cand - x against the child's layers.
     rng = random.Random(23)
@@ -489,15 +507,10 @@ def test_incremental_middle_filter_matches_full_filter():
             rest = cand ^ 1 << x
             child = layers(bits | 1 << x)
             want = full_filter(GroupSubset(group, rest).indices(), child)
-            got = rest & ~child[param - 1]
-            by_first_layer = got
-            for j in range(2, param):
-                fresh = child[param - j] & ~d[param - j]
-                for z in GroupSubset(group, fresh).indices():
-                    got &= ~_preimages(group.factors, j)[z]
+            got = entry_filter(group, param, rest, d, child)
             assert got == want, (group, kind, hex(bits), target, x)
             pops += 1
-            dropped += got != by_first_layer
+            dropped += got != rest & ~child[param - 1]
         states += 1
     assert pops > 1000 and dropped > 300, (pops, dropped)
 

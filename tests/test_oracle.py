@@ -437,38 +437,43 @@ def _conflict_layer(group: GroupType, kind: CriticalKind, bits: int, target: int
     return _layer(group, kind, bits, target, None if kind.mode == "sums" else kind.param - 2)
 
 
-def test_incremental_middle_filter_matches_full_filter():
-    def entry_filter(group, param, cand, before, layers):
-        # what a search node keeps of its parent's cand: it drops D[param - 1]
-        # and, for 2 <= j <= param, the preimages under j of the elements of
-        # D[param - j] that are not in the parent's layer before[param - j]
-        got = cand & ~layers[-1]
-        for j in range(2, (param or 1) + 1):
-            fresh = layers[param - j] & ~before[param - j]
-            for z in GroupSubset(group, fresh).indices():
-                got &= ~_preimages(group.factors, j)[z]
-        return got
+def _entry_filter(group: GroupType, param: int | None, cand: int, before: list[int], layers: list[int]) -> int:
+    """What a search node keeps of its parent's cand.
 
+    It drops D[param - 1] and, for 2 <= j <= param, the preimages under j of
+    the elements of D[param - j] that are not in the parent's layer
+    before[param - j].
+    """
+    got = cand & ~layers[-1]
+    for j in range(2, (param or 1) + 1):
+        fresh = layers[param - j] & ~before[param - j]
+        for z in GroupSubset(group, fresh).indices():
+            got &= ~_preimages(group.factors, j)[z]
+    return got
+
+
+@pytest.mark.parametrize("group", SMALL_TYPES, ids=str)
+def test_singleton_hits_match_kernel_expansion(group):
     # Root states: A = {} ({0} for the interval kinds, which hold it) with
-    # the parent layers all empty, on every small type, every kind at
-    # param 1..4 and every g that A misses.  The filter must leave exactly
-    # the pool elements y for which A | {y} still misses g.
+    # the parent layers all empty, every kind at param 1..4 and every g that
+    # A misses.  The filter must drop exactly the singletons y that hit g,
+    # those for which the kernel expansion of A | {y} reaches g.
+    layout = layout_for(group)
     kinds = [CriticalKind(tag, p) for tag in KIND_TAGS if tag not in ("cr", "cr_star") for p in range(1, 5)]
-    roots = 0
-    for group in SMALL_TYPES:
-        layout = layout_for(group)
-        for kind in kinds + [CriticalKind("cr"), CriticalKind("cr_star")]:
-            bits = 1 if kind.mode == "interval" else 0
-            pool = layout.full & ~bits & ~(1 if kind.excludes_zero else 0)
-            reach = {y: _expansion(layout, kind, bits | 1 << y) for y in GroupSubset(group, pool).indices()}
-            for target in GroupSubset(group, layout.full & ~_expansion(layout, kind, bits)).indices():
-                layers = [_layer(group, kind, bits, target, k) for k in (range(kind.param) if kind.param else [None])]
-                want = sum(1 << y for y, r in reach.items() if not r >> target & 1)
-                got = entry_filter(group, kind.param, pool, [0] * len(layers), layers)
-                assert got == want, (group, kind, target)
-                roots += 1
-    assert roots > 10000, roots
+    for kind in kinds + [CriticalKind("cr"), CriticalKind("cr_star")]:
+        bits = 1 if kind.mode == "interval" else 0
+        pool = layout.full & ~bits & ~(1 if kind.excludes_zero else 0)
+        reach = {y: _expansion(layout, kind, bits | 1 << y) for y in GroupSubset(group, pool).indices()}
+        targets = GroupSubset(group, layout.full & ~_expansion(layout, kind, bits)).indices()
+        assert targets, kind
+        for target in targets:
+            layers = [_layer(group, kind, bits, target, k) for k in (range(kind.param) if kind.param else [None])]
+            want = sum(1 << y for y, r in reach.items() if not r >> target & 1)
+            got = _entry_filter(group, kind.param, pool, [0] * len(layers), layers)
+            assert got == want, (kind, target)
 
+
+def test_incremental_middle_filter_matches_full_filter():
     # Random search states: the layers D[k] of A (k < param) from the public
     # sumsets, and cand, the y whose j*y misses D[param - j] for every
     # 1 <= j <= param, by the full per-element filter.  A child of x filters
@@ -507,7 +512,7 @@ def test_incremental_middle_filter_matches_full_filter():
             rest = cand ^ 1 << x
             child = layers(bits | 1 << x)
             want = full_filter(GroupSubset(group, rest).indices(), child)
-            got = entry_filter(group, param, rest, d, child)
+            got = _entry_filter(group, param, rest, d, child)
             assert got == want, (group, kind, hex(bits), target, x)
             pops += 1
             dropped += got != rest & ~child[param - 1]

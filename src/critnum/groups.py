@@ -25,7 +25,7 @@ def _is_int(x) -> bool:
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}."""
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InvalidOrder(f"cannot factor {n!r}; need an integer >= 1")
     out: dict[int, int] = {}
     m = n
@@ -42,7 +42,7 @@ def factorize(n: int) -> dict[int, int]:
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n in increasing order."""
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InvalidOrder(f"divisors need an integer >= 1, got {n!r}")
     small = []
     large = []
@@ -55,11 +55,13 @@ def divisors(n: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
+    if not _is_int(n):
+        raise InvalidOrder(f"primality needs an integer, got {n!r}")
     return n >= 2 and smallest_prime_factor(n) == n
 
 
 def smallest_prime_factor(n: int) -> int:
-    if n < 2:
+    if not _is_int(n) or n < 2:
         raise InvalidOrder(f"no prime factor for {n!r}")
     if n % 2 == 0:
         return 2

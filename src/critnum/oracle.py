@@ -6,14 +6,15 @@ expansion misses some element g.  `search_critical_witness` fixes g and
 runs a depth-first search over the candidate elements, in which the root
 is a node like any other; `brute_critical` returns its value.  As
 [0,s]A = [0,s](A | {0}), it searches the interval kinds only over sets
-holding 0.  Besides the size cut, the search cuts a branch by a
-greedy matching in the graph of candidate pairs that cannot join
-together, and, for the generating kinds, when all it can still reach lies
-in one maximal subgroup; it tests generation against one mask per
-maximal subgroup (by closure for groups with more than `_MAX_MASKS`), and
-branches first on a candidate outside the masks that still contain the
-set, so that the generation cut fires early.  The search shares no logic
-with the closed forms.
+holding 0.  Every node takes its own set as the best when it qualifies.
+Besides the size cut, the search cuts a branch by a greedy matching in
+the graph of candidate pairs that cannot join together, from which each
+pop drops only its own pair, and, for the generating kinds, when all it
+can still reach lies in one maximal subgroup; it tests generation
+against one mask per maximal subgroup (by closure for groups with more
+than `_MAX_MASKS`), and branches first on a candidate outside the masks
+that still contain the set, so that the generation cut fires early.
+The search shares no logic with the closed forms.
 
 `brute_critical_witness` is the definition-literal scan and the ground
 truth the search is tested against.  It enumerates subset sizes in
@@ -223,9 +224,9 @@ def _preimages(factors: tuple[int, ...], j: int) -> tuple[int, ...]:
     return tuple(pre)
 
 
-def _greedy_matching(layout, layer: int, cand: int, need: int) -> int:
-    """A greedy matching in the conflict graph on cand, as the mask of the
-    lower ends of its pairs.
+def _greedy_matching(layout, layer: int, cand: int, need: int) -> dict[int, int]:
+    """A greedy matching in the conflict graph on cand, as a map from each
+    matched candidate's bit to its partner's bit.
 
     y and z conflict when y + z lies in layer, so the neighbours of y are
     (layer - y) & cand: one translation per candidate taken in index
@@ -234,10 +235,10 @@ def _greedy_matching(layout, layer: int, cand: int, need: int) -> int:
     once it has need pairs or the free candidates left cannot bring it
     there.
     """
-    neg = layout.neg_index
+    neg = _multiples(layout.factors, -1)
     free = cand
     left = cand.bit_count()
-    lows = 0
+    mate: dict[int, int] = {}
     matched = 0
     while matched < need <= matched + left // 2:
         y = free & -free
@@ -245,11 +246,13 @@ def _greedy_matching(layout, layer: int, cand: int, need: int) -> int:
         left -= 1
         partners = translate_bits(layout, layer, neg[y.bit_length() - 1]) & free
         if partners:
-            free ^= partners & -partners
+            z = partners & -partners
+            free ^= z
             left -= 1
-            lows |= y
+            mate[y] = z
+            mate[z] = y
             matched += 1
-    return lows
+    return mate
 
 
 def search_critical_witness(
@@ -287,17 +290,17 @@ def search_critical_witness(
     those unless the lowest candidate is one.  The popped element joins the
     child and leaves the rest of the loop, so every order is exhaustive.
 
-    Three cuts end a branch whose sets cannot beat the best size found for
-    any anchor so far:
+    Every node, the root included, takes its own set as the best on entry
+    when it is larger than the best found for any anchor so far and, for
+    the generating kinds, generates.  Three cuts end a branch whose sets
+    cannot beat that best:
     - size: its size plus its candidates;
     - matching: two candidates y, z cannot both join when y + z lies in
       D[param - 2] (the layer D for subset sums), so the sets grow by an
       independent set of that conflict graph and a matching M of it bounds
       them by size + |cand| - |M|.  A node runs `_greedy_matching` when
       |cand| // 2 pairs would be enough and best has grown since its last
-      run; in between, each pop drops the pair whose lower end it takes,
-      and a pop that is not the lowest candidate, which may take an upper
-      end, drops every pair so that the node matches again;
+      run; in between, each pop drops only its own pair, if it has one;
     - generation (generating kinds only): the set and all its candidates
       lie in one maximal subgroup.
     Each node keeps the masks of `_maximal_subgroups` that contain its set,
@@ -312,7 +315,7 @@ def search_critical_witness(
     _check_budget(n, budget)
     layout = layout_for(group)
     full = layout.full
-    neg = layout.neg_index
+    neg = _multiples(factors, -1)
     kind = query.kind
     mode = kind.mode
     param = kind.param
@@ -334,14 +337,16 @@ def search_critical_witness(
     # two candidates y, z conflict when y + z lies in this layer
     conflict_level = 0 if mode == "sums" else param - 2 if param >= 2 else None
 
-    best = -1 if restrict or mode == "hfold" else held
-    best_bits = held
+    best = -1
+    best_bits = 0
 
-    def descend(bits: int, size: int, cand: int, before: list[int], layers: list[int],
-                around: list[int]) -> None:
+    def descend(bits: int, cand: int, before: list[int], layers: list[int], around: list[int]) -> None:
         # cand: the parent's remaining candidates; before: the parent's layers;
         # around: the masks of the maximal subgroups that contain bits
         nonlocal best, best_bits
+        size = bits.bit_count()
+        if size > best and not around and (maxes is not None or closure_bits(layout, bits) == full):
+            best, best_bits = size, bits
         cand &= ~layers[-1]
         for level, pre in middle:
             fresh = layers[level] & ~before[level]
@@ -349,34 +354,31 @@ def search_critical_witness(
                 z = fresh & -fresh
                 fresh ^= z
                 cand &= ~pre[z.bit_length() - 1]
-        # the lower ends of a matching in cand's conflict graph, computed when
-        # best was paired_at; popping a lower end takes its pair out
-        pairs, paired_at = 0, None
+        # a matching in cand's conflict graph, computed when best was
+        # paired_at; popping a matched candidate takes its pair out
+        mate, paired_at = {}, None
         while cand:
             count = cand.bit_count()
-            if size + count - pairs.bit_count() <= best:
+            if size + count - len(mate) // 2 <= best:
                 return
-            x = low = cand & -cand
+            x = cand & -cand
             if around:
                 # branch outside the mask that leaves the fewest candidates
                 # outside; none left means bits | cand lies inside it
                 outside = min((cand & ~m for m in around), key=int.bit_count)
                 if not outside:
                     return
-                if not low & outside:
+                if not x & outside:
                     x = outside & -outside
             need = size + count - best
             if conflict_level is not None and paired_at != best and count // 2 >= need:
-                pairs, paired_at = _greedy_matching(layout, layers[conflict_level], cand, need), best
-                if pairs.bit_count() >= need:
+                mate, paired_at = _greedy_matching(layout, layers[conflict_level], cand, need), best
+                if len(mate) // 2 >= need:
                     return
             cand ^= x
-            if x == low:
-                pairs &= cand
-            else:  # x may be the upper end of a pair
-                pairs, paired_at = 0, None
+            if x in mate:
+                del mate[mate.pop(x)]
             minus_x = neg[x.bit_length() - 1]
-            grown = bits | x
             prev = layers[0]
             if mode == "sums":  # D' = D | (D - x)
                 prev |= translate_bits(layout, prev, minus_x)
@@ -384,17 +386,13 @@ def search_critical_witness(
             for k in deeper:
                 prev = layers[k] | translate_bits(layout, prev, minus_x)
                 new_layers.append(prev)
-            grown_around = [m for m in around if m & x] if around else around
-            if size + 1 > best and not grown_around and (
-                    maxes is not None or closure_bits(layout, grown) == full):
-                best, best_bits = size + 1, grown
-            descend(grown, size + 1, cand, layers, new_layers, grown_around)
+            descend(bits | x, cand, layers, new_layers, [m for m in around if m & x] if around else around)
 
     for g in anchors:
         anchor = 1 << g
         # g - [0,k]{0} = g - Sum{} = {g} for every k; g - k{} is empty for k >= 1
         layers = [anchor] + [anchor if mode == "interval" else 0] * len(deeper)
-        descend(held, held, pool, [0] * len(layers), layers, list(maxes or ()))
+        descend(held, pool, [0] * len(layers), layers, list(maxes or ()))
 
     if best < 0:
         return 1, None

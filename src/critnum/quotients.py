@@ -61,7 +61,7 @@ def quotient_type_feasible(group: GroupType, quotient_factors: Sequence[int]) ->
     t = len(ds)
     if t == 0 or t > group.rank:
         return False
-    if any(not isinstance(x, int) or x < 2 for x in ds):
+    if any(not _is_int(x) or x < 2 for x in ds):
         return False
     if any(ds[i + 1] % ds[i] for i in range(t - 1)):
         return False

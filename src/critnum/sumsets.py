@@ -54,15 +54,15 @@ class Layout:
     them back down.  The last coordinate's block is the whole mask, so its
     shifts are plain rotations sharing keep = wrap = full; a lower
     coordinate f holds two n-bit masks per shift, 2n(f - 1) bits in all.
-    neg_index[e] is the index of -e.  axes[i] is (stride, f, primes, rep)
-    for coordinate i: the flat index of e_i, the factor, its primes, and
-    the mask with one bit at the base of every block of stride * f bits.
+    axes[i] is (stride, f, primes, rep) for coordinate i: the flat index of
+    e_i, the factor, its primes, and the mask with one bit at the base of
+    every block of stride * f bits.
 
     Orders above MAX_LAYOUT_ORDER are refused with InvalidOrder before any
     table is built.
     """
 
-    __slots__ = ("factors", "order", "full", "shift_ops", "neg_index", "axes")
+    __slots__ = ("factors", "order", "full", "shift_ops", "axes")
 
     def __init__(self, factors: tuple[int, ...]):
         group = GroupType(factors)
@@ -94,17 +94,12 @@ class Layout:
             ops = [prev + tail for tail in tails for prev in ops]
             stride = block
         self.shift_ops = tuple(ops)
-        self.neg_index = _multiples(self.factors, -1)
         self.axes = tuple(axes)
 
 
 @lru_cache(maxsize=512)
-def _layout_for_factors(factors: tuple[int, ...]) -> Layout:
-    return Layout(factors)
-
-
 def layout_for(group: GroupType) -> Layout:
-    return _layout_for_factors(group.factors)
+    return Layout(group.factors)
 
 
 def translate_bits(layout: Layout, bits: int, index: int) -> int:
@@ -234,7 +229,7 @@ class GroupSubset:
     bits: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bits, int) or self.bits < 0 or self.bits >> self.group.order:
+        if not _is_int(self.bits) or self.bits < 0 or self.bits >> self.group.order:
             raise InvalidElement(f"bitmask {self.bits!r} does not fit order {self.group.order}")
 
     @classmethod

@@ -170,7 +170,8 @@ def interval_witness(group: GroupType, s: int) -> WitnessCertificate:
     base = hfold_witness(group, s)
     layout = layout_for(group)
     low = base.subset.bits & -base.subset.bits
-    bits = translate_bits(layout, base.subset.bits, layout.neg_index[low.bit_length() - 1])
+    minus_low = group.encode(group.neg(group.decode(low.bit_length() - 1)))
+    bits = translate_bits(layout, base.subset.bits, minus_low)
     size = base.claimed_size
     expansion = interval_bits(layout, bits, s)
     generates = _verified(f"interval_witness(s={s})", layout, bits, size, expansion, generating=False)

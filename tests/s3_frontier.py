@@ -4,9 +4,12 @@ Runs `search_critical_witness` on the `chi_hat_interval` queries of the
 ROADMAP's stall table and on every non-exponent-2 type of order 48 at
 s = 3 (the orders past acceptance tier A14).  Each value is checked against
 its closed form: the exponent-2 rank formula for Z2^r, the s = 3 structure
-formula otherwise.  Prints value and time per query and exits 1 on any
-mismatch.  pytest does not collect it (no `test_` prefix).  Run from the
-repository root:
+formula otherwise.  Prints value, time and the `translate_bits` calls the
+search makes through `critnum.oracle` per query and in total, and exits 1
+on any mismatch.  The call count is a deterministic measure of the
+search's work; the script counts it by wrapping that module attribute.
+pytest does not collect it (no `test_` prefix).  Run from the repository
+root:
 
     PYTHONPATH=src python tests/s3_frontier.py
 """
@@ -14,6 +17,7 @@ repository root:
 import sys
 import time
 
+import critnum.oracle
 from critnum import (
     CriticalKind,
     GroupType,
@@ -47,17 +51,30 @@ def expected(group: GroupType, s: int) -> int:
 def main() -> int:
     rows = [(GroupType(factors), s) for factors, s in STALL_ROWS]
     rows += [(g, 3) for g in abelian_types(48) if not g.is_elementary_two and (g, 3) not in rows]
-    mismatches = 0
+    translate = critnum.oracle.translate_bits
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return translate(*args)
+
+    critnum.oracle.translate_bits = counted
+    mismatches = all_calls = 0
     total = time.perf_counter()
     for group, s in rows:
+        calls = 0
         start = time.perf_counter()
         got, _ = search_critical_witness(OracleQuery(group, CriticalKind("chi_hat_interval", s)), budget=group.order)
         elapsed = time.perf_counter() - start
+        all_calls += calls
         want = expected(group, s)
         mismatches += got != want
         verdict = "ok" if got == want else "MISMATCH"
-        print(f"{str(group):<16} s={s}  search {got:>3}  formula {want:>3}  {elapsed:7.2f} s  {verdict}", flush=True)
-    print(f"{len(rows)} queries, {mismatches} mismatches, {time.perf_counter() - total:.1f} s")
+        print(f"{str(group):<16} s={s}  search {got:>3}  formula {want:>3}  {elapsed:7.2f} s  "
+              f"{calls:>9,} translations  {verdict}", flush=True)
+    print(f"{len(rows)} queries, {mismatches} mismatches, {time.perf_counter() - total:.1f} s, "
+          f"{all_calls:,} translations")
     return 1 if mismatches else 0
 
 

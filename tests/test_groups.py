@@ -43,6 +43,14 @@ def test_primality():
     assert smallest_prime_factor(49) == 7
 
 
+@pytest.mark.parametrize("bad", [True, 2.5, 7.0], ids=repr)
+def test_number_guards_refuse_non_integers(bad):
+    # bools and floats are refused by the shared integer test, not computed on
+    for guard in (factorize, divisors, is_prime, smallest_prime_factor):
+        with pytest.raises(InvalidOrder):
+            guard(bad)
+
+
 def test_invariant_factor_normalization():
     # any list of cyclic orders is regrouped into a divisibility chain
     assert GroupType((4, 2)).factors == (2, 4)

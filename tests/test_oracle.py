@@ -520,11 +520,21 @@ def test_incremental_middle_filter_matches_full_filter():
     assert pops > 1000 and dropped > 300, (pops, dropped)
 
 
+def _check_matching(group: GroupType, layer: int, cand: int, mate: dict[int, int]) -> None:
+    """mate pairs conflicting candidates: each partner maps back, both ends
+    lie in cand, and y + z lies in layer."""
+    for y, z in mate.items():
+        assert y != z and mate[z] == y, (hex(y), hex(z))
+        assert y & cand and z & cand and y.bit_count() == z.bit_count() == 1, (hex(y), hex(z))
+        assert layer >> add_indices(group, y.bit_length() - 1, z.bit_length() - 1) & 1, (hex(y), hex(z))
+
+
 def test_matching_bound_is_sound():
     # Random search states (A missing target, cand the elements that keep it
-    # missing).  The search cuts when the matching reaches need = |A| +
-    # |cand| - best, so it must never reach the least need that would lose
-    # the largest extension of A inside cand, found by enumeration.
+    # missing).  The matching maps each matched candidate to its partner.
+    # The search cuts when it reaches need = |A| + |cand| - best pairs, so it
+    # must never reach the least need that would lose the largest extension
+    # of A inside cand, found by enumeration.
     rng = random.Random(7)
     groups = [g for n in range(2, 13) for g in abelian_types(n)]
     kinds = [CriticalKind(tag, p) for tag in ("chi_h", "chi_interval") for p in (2, 3, 4)]
@@ -553,22 +563,23 @@ def test_matching_bound_is_sound():
             if any(misses(bits | sum(1 << y for y in extra)) for extra in itertools.combinations(cand, k))
         )
         cut = len(cand) - largest + 1
-        assert _greedy_matching(layout, layer, cand_bits, cut).bit_count() < cut, (group, kind, hex(bits), target, cand)
+        mate = _greedy_matching(layout, layer, cand_bits, cut)
+        _check_matching(group, layer, cand_bits, mate)
+        assert len(mate) // 2 < cut, (group, kind, hex(bits), target, cand)
         states += 1
         # the bound is exact here: a matching of cut - 1 pairs is found
-        tight += cut > 1 and _greedy_matching(layout, layer, cand_bits, cut - 1).bit_count() == cut - 1
+        tight += cut > 1 and len(_greedy_matching(layout, layer, cand_bits, cut - 1)) // 2 == cut - 1
     assert tight > 100
 
 
 def test_matching_bound_survives_pops():
-    # The search keeps the lower ends of its matching that are still
-    # candidates.  Popping the lowest candidate takes out at most its own
-    # pair; popping another (generation-first branching) may take out the
-    # upper end of a pair, so the search then drops the pairs and matches
-    # again.  After every pop, from the lowest up or in random order, the
-    # pairs must still bound the largest extension of A inside what is
-    # left, for every need the matching may have stopped at.  Lower ends
-    # kept past an out-of-order pop go stale and break the bound.
+    # The search keeps its matching between runs, and each pop, from the
+    # lowest candidate up or generation-first out of order, drops only the
+    # popped candidate's pair.  After every pop, in index order and in
+    # random order, the pairs left must still lie in what is left and bound
+    # the largest extension of A inside it, for every need the matching may
+    # have stopped at.  Keeping a popped candidate's pair while its partner
+    # is left breaks the bound.
     rng = random.Random(11)
     order_rng = random.Random(13)
     groups = [g for n in range(2, 13) for g in abelian_types(n)]
@@ -596,23 +607,23 @@ def test_matching_bound_survives_pops():
             if misses(bits | sum(1 << y for y in extra))
         ]
 
-        def bounds(pairs, rest):
-            largest = max(len(e) for e in extensions if set(e) <= set(rest))
-            return (pairs & sum(1 << y for y in rest)).bit_count() <= len(rest) - largest
+        def slack(rest):
+            return len(rest) - max(len(e) for e in extensions if set(e) <= set(rest))
 
         for need in range(1, len(cand) // 2 + 1):
-            lows = _greedy_matching(layout, layer, sum(1 << y for y in cand), need)
-            paired += lows != 0
-            for j in range(len(cand) + 1):
-                assert bounds(lows, cand[j:]), (group, kind, hex(bits), target, cand, need, j)
-            rest, pairs, stale = list(cand), lows, lows
-            for x in order_rng.sample(cand, len(cand)):
-                lowest = rest[0]
-                rest.remove(x)
-                if x != lowest:
-                    pairs = _greedy_matching(layout, layer, sum(1 << y for y in rest), need)
-                assert bounds(pairs, rest), (group, kind, hex(bits), target, cand, need, rest)
-                stale_breaks += not bounds(stale, rest)
+            mate = _greedy_matching(layout, layer, sum(1 << y for y in cand), need)
+            paired += bool(mate)
+            for order in (cand, order_rng.sample(cand, len(cand))):
+                rest, pairs = list(cand), dict(mate)
+                for x in order:
+                    rest.remove(x)
+                    if 1 << x in pairs:
+                        del pairs[pairs.pop(1 << x)]
+                    rest_bits = sum(1 << y for y in rest)
+                    _check_matching(group, layer, rest_bits, pairs)
+                    assert len(pairs) // 2 <= slack(rest), (group, kind, hex(bits), target, cand, need, rest)
+                    kept = sum(1 for y, z in mate.items() if y < z and (y | z) & rest_bits)
+                    stale_breaks += kept > slack(rest)
         states += 1
     assert paired > 100 and stale_breaks > 50, (paired, stale_breaks)
 

@@ -29,6 +29,7 @@ from critnum.quotients import lift_preimage, quotient_spec
 from critnum.sumsets import (
     MAX_LAYOUT_ORDER,
     Layout,
+    _multiples,
     axis_periods,
     hfold_bits,
     interval_bits,
@@ -253,9 +254,10 @@ def test_fold_of_singleton_and_zero():
 @pytest.mark.parametrize("group", small_types(32), ids=str)
 def test_layout_tables_match_group_arithmetic(group):
     layout = layout_for(group)
+    negated = _multiples(group.factors, -1)
     for i in range(group.order):
         x = group.decode(i)
-        assert layout.neg_index[i] == neg_index(group, i)
+        assert negated[i] == neg_index(group, i)
         for j in range(group.order):
             want = group.encode(group.add(x, group.decode(j)))
             assert translate_bits(layout, 1 << i, j) == 1 << want
@@ -361,3 +363,9 @@ def test_invalid_members_rejected():
         GroupSubset.from_indices(g, [6])
     with pytest.raises(InvalidElement):
         GroupSubset.from_elements(g, [(7,)])
+
+
+@pytest.mark.parametrize("bad", [True, 2.5], ids=repr)
+def test_subset_bits_must_be_an_integer(bad):
+    with pytest.raises(InvalidElement):
+        GroupSubset(cyclic(5), bad)

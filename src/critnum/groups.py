@@ -226,9 +226,6 @@ def parse_group(text: str) -> GroupType:
 
 def _partitions(k: int) -> Iterator[tuple[int, ...]]:
     """All partitions of k as weakly decreasing tuples."""
-    if k == 0:
-        yield ()
-        return
     def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
             yield ()

@@ -224,18 +224,17 @@ def _preimages(factors: tuple[int, ...], j: int) -> tuple[int, ...]:
     return tuple(pre)
 
 
-def _greedy_matching(layout, layer: int, cand: int, need: int) -> dict[int, int]:
+def _greedy_matching(layout, neg, layer: int, cand: int, need: int) -> dict[int, int]:
     """A greedy matching in the conflict graph on cand, as a map from each
     matched candidate's bit to its partner's bit.
 
     y and z conflict when y + z lies in layer, so the neighbours of y are
-    (layer - y) & cand: one translation per candidate taken in index
-    order.  Each pair is taken out of the free candidates as it is
+    (layer - y) & cand: one translation, by neg[y], per candidate taken in
+    index order.  Each pair is taken out of the free candidates as it is
     matched, so no vertex is in two pairs.  The matching stops growing
     once it has need pairs or the free candidates left cannot bring it
     there.
     """
-    neg = _multiples(layout.factors, -1)
     free = cand
     left = cand.bit_count()
     mate: dict[int, int] = {}
@@ -372,7 +371,7 @@ def search_critical_witness(
                     x = outside & -outside
             need = size + count - best
             if conflict_level is not None and paired_at != best and count // 2 >= need:
-                mate, paired_at = _greedy_matching(layout, layers[conflict_level], cand, need), best
+                mate, paired_at = _greedy_matching(layout, neg, layers[conflict_level], cand, need), best
                 if len(mate) // 2 >= need:
                     return
             cand ^= x

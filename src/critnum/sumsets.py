@@ -310,13 +310,11 @@ class GroupSubset:
     @classmethod
     def from_hex(cls, group: GroupType, text: str) -> "GroupSubset":
         width = (group.order + 3) // 4
-        if len(text) != width:
-            raise InvalidElement(f"hex mask {text!r} should have {width} digits for order {group.order}")
-        try:
-            bits = int(text, 16)
-        except ValueError:
-            raise InvalidElement(f"hex mask {text!r} is not hexadecimal") from None
-        return cls(group, bits)
+        if len(text) != width or any(c not in "0123456789abcdef" for c in text):
+            raise InvalidElement(
+                f"hex mask {text!r} should be {width} lowercase hex digits for order {group.order}"
+            )
+        return cls(group, int(text, 16))
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(e) for e in self.elements()) + "}"

@@ -2,16 +2,17 @@
 
 Two families are built here.  The h-fold witnesses realize the largest
 generating h-incomplete sets (showing the generating restriction does not
-change the h-fold critical number), by a recursion that mirrors the
-inductive proof: lift a witness through a quotient when a proper divisor
-attains the size bound, and otherwise build an explicit interval or
-product-of-blocks set.  The interval bound witnesses realize the coset
-lower bound for the generating interval critical number: a small pattern
-in a quotient, pulled back to the full group.
+change the h-fold critical number): a run or product-of-blocks set in the
+quotient whose index is the least divisor attaining the size bound, pulled
+back to the full group.  The interval witnesses are those sets translated
+to hold zero.  The interval bound witnesses realize the coset lower bound
+for the generating interval critical number: a small pattern in a
+quotient, pulled back to the full group.
 
 Constructors are fail-closed: every certificate, and the oracle search's
 witness, passes one check, `_verified`, which recomputes size,
 generation, and incompleteness with the kernels before it is returned.
+Each builder checks only the set it returns, once.
 """
 
 from __future__ import annotations
@@ -116,33 +117,38 @@ def _verified(builder: str, layout: Layout, bits: int, size: int, expansion: int
     return generates
 
 
-def _hfold_witness_bits(group: GroupType, h: int, maximizers: tuple[int, ...]) -> tuple[int, str]:
-    n = group.order
-    proper = [d for d in maximizers if d < n]
-    if proper:
-        # A proper divisor attains the bound: recurse in the quotient of
-        # that index and take the full preimage of the inner witness.
-        spec = quotient_spec(group, min(proper))
-        inner = hfold_witness(spec.quotient, h)
-        return lift_preimage(spec, inner.subset).bits, "quotient"
-    if is_prime(n):
-        top = (n - 2) // h + 1
-        return ((1 << top) - 1) << 1, "prime"
-    # Composite with the bound attained only at d = n.  The divisibility
-    # argument forces h | (ni - 1) for every invariant factor; the witness
-    # is a union of blocks, one per coordinate: coordinate i in 1..(fi-1)/h,
-    # lower coordinates free, higher ones zero.  With the first coordinate
-    # varying fastest that block is one run of flat indices.
-    bits = 0
-    stride = 1
-    for f in group.factors:
-        if (f - 1) % h:
-            raise ConstructionInvariantViolated(
-                f"factor {f} of {group} violates the divisibility h | (factor - 1) for h={h}"
-            )
-        bits |= ((1 << (f - 1) // h * stride) - 1) << stride
-        stride *= f
-    return bits, "product"
+def _hfold_witness_bits(group: GroupType, h: int) -> tuple[int, int, str]:
+    """Mask, size and branch of a largest generating h-incomplete set.
+
+    The set is built in the quotient whose index d is the least divisor
+    attaining the divisor bound (the group itself when d = n) and lifted as
+    a full preimage.  One level is enough: a proper divisor of d attaining
+    the bound for order d would attain it for n.
+    """
+    size, maximizers = max_incomplete_divisors(group.order, h)
+    d = min(maximizers)
+    spec = quotient_spec(group, d) if d < group.order else None
+    base = spec.quotient if spec else group
+    if is_prime(d):
+        top = (d - 2) // h + 1
+        bits, branch = ((1 << top) - 1) << 1, "prime"
+    else:
+        # The divisibility argument forces h | (fi - 1) for every invariant
+        # factor.  The set is a union of blocks: coordinate i in
+        # 1..(fi-1)/h, lower coordinates free, higher ones zero, which is
+        # one run of flat indices with the first coordinate fastest.
+        bits, stride = 0, 1
+        for f in base.factors:
+            if (f - 1) % h:
+                raise ConstructionInvariantViolated(
+                    f"factor {f} of {base} violates the divisibility h | (factor - 1) for h={h}"
+                )
+            bits |= ((1 << (f - 1) // h * stride) - 1) << stride
+            stride *= f
+        branch = "product"
+    if spec is None:
+        return bits, size, branch
+    return lift_preimage(spec, GroupSubset(base, bits)).bits, size, "quotient"
 
 
 def hfold_witness(group: GroupType, h: int) -> WitnessCertificate:
@@ -152,31 +158,28 @@ def hfold_witness(group: GroupType, h: int) -> WitnessCertificate:
     generates the group, and its h-fold sumset misses at least one element.
     """
     _check_h(h)
-    expected, maximizers = max_incomplete_divisors(group.order, h)
-    bits, branch = _hfold_witness_bits(group, h, maximizers)
+    bits, size, branch = _hfold_witness_bits(group, h)
     layout = layout_for(group)
-    _verified(f"hfold_witness(h={h})", layout, bits, expected, hfold_bits(layout, bits, h), generating=True)
-    return WitnessCertificate(group, "hfold", h, GroupSubset(group, bits), expected, True, True, branch)
+    _verified(f"hfold_witness(h={h})", layout, bits, size, hfold_bits(layout, bits, h), generating=True)
+    return WitnessCertificate(group, "hfold", h, GroupSubset(group, bits), size, True, True, branch)
 
 
 def interval_witness(group: GroupType, s: int) -> WitnessCertificate:
     """A largest interval-incomplete subset (unrestricted variant).
 
-    Translating an h-fold witness so that it contains zero turns it into
-    an interval witness of the same size: with 0 in the set, the interval
-    sumset collapses onto the top fold.
+    Translating the set `hfold_witness` builds so that it contains zero
+    turns it into an interval witness of the same size: with 0 in the set,
+    the interval sumset collapses onto the top fold.  The certificate
+    checks its size and incompleteness and reports whether it generates.
     """
     _check_s(s)
-    base = hfold_witness(group, s)
+    bits, size, _ = _hfold_witness_bits(group, s)
     layout = layout_for(group)
-    low = base.subset.bits & -base.subset.bits
-    minus_low = group.encode(group.neg(group.decode(low.bit_length() - 1)))
-    bits = translate_bits(layout, base.subset.bits, minus_low)
-    size = base.claimed_size
+    low = (bits & -bits).bit_length() - 1
+    bits = translate_bits(layout, bits, group.encode(group.neg(group.decode(low))))
     expansion = interval_bits(layout, bits, s)
     generates = _verified(f"interval_witness(s={s})", layout, bits, size, expansion, generating=False)
-    subset = GroupSubset(group, bits)
-    return WitnessCertificate(group, "interval", s, subset, size, generates, True, "translate")
+    return WitnessCertificate(group, "interval", s, GroupSubset(group, bits), size, generates, True, "translate")
 
 
 def interval_bound_witness(

@@ -544,6 +544,7 @@ def test_matching_bound_is_sound():
         group, kind = rng.choice(groups), rng.choice(kinds)
         n = group.order
         layout = layout_for(group)
+        neg = _multiples(group.factors, -1)
         target = rng.randrange(n)
         pool = [x for x in range(n) if x or not kind.excludes_zero]
         bits = sum(1 << x for x in rng.sample(pool, rng.randrange(min(4, len(pool)))))
@@ -563,12 +564,12 @@ def test_matching_bound_is_sound():
             if any(misses(bits | sum(1 << y for y in extra)) for extra in itertools.combinations(cand, k))
         )
         cut = len(cand) - largest + 1
-        mate = _greedy_matching(layout, layer, cand_bits, cut)
+        mate = _greedy_matching(layout, neg, layer, cand_bits, cut)
         _check_matching(group, layer, cand_bits, mate)
         assert len(mate) // 2 < cut, (group, kind, hex(bits), target, cand)
         states += 1
         # the bound is exact here: a matching of cut - 1 pairs is found
-        tight += cut > 1 and len(_greedy_matching(layout, layer, cand_bits, cut - 1)) // 2 == cut - 1
+        tight += cut > 1 and len(_greedy_matching(layout, neg, layer, cand_bits, cut - 1)) // 2 == cut - 1
     assert tight > 100
 
 
@@ -589,6 +590,7 @@ def test_matching_bound_survives_pops():
         group, kind = rng.choice(groups), rng.choice(kinds)
         n = group.order
         layout = layout_for(group)
+        neg = _multiples(group.factors, -1)
         target = rng.randrange(n)
         bits = sum(1 << x for x in rng.sample(range(1, n), rng.randrange(min(3, n - 1))))
 
@@ -611,7 +613,7 @@ def test_matching_bound_survives_pops():
             return len(rest) - max(len(e) for e in extensions if set(e) <= set(rest))
 
         for need in range(1, len(cand) // 2 + 1):
-            mate = _greedy_matching(layout, layer, sum(1 << y for y in cand), need)
+            mate = _greedy_matching(layout, neg, layer, sum(1 << y for y in cand), need)
             paired += bool(mate)
             for order in (cand, order_rng.sample(cand, len(cand))):
                 rest, pairs = list(cand), dict(mate)

@@ -357,6 +357,15 @@ def test_hex_roundtrip():
         GroupSubset.from_hex(g, "zz")
 
 
+@pytest.mark.parametrize("text", ["0x1f", " 1f ", "1_f0", "+1f0", "1F00"])
+def test_from_hex_takes_only_what_to_hex_writes(text):
+    # int(text, 16) accepts each of these for Z16's four-digit width
+    g = cyclic(16)
+    assert len(text) == 4
+    with pytest.raises(InvalidElement):
+        GroupSubset.from_hex(g, text)
+
+
 def test_invalid_members_rejected():
     g = cyclic(6)
     with pytest.raises(InvalidElement):

@@ -23,6 +23,7 @@ from critnum import (
     interval_witness,
     is_complete,
     is_generating,
+    max_incomplete_divisors,
     max_incomplete_size,
     subgroup_generated,
 )
@@ -115,14 +116,49 @@ BAD_Z8_SETS = {
 def test_builders_fail_closed(monkeypatch, indices):
     g = cyclic(8)
     bad = GroupSubset.from_indices(g, indices)
-    monkeypatch.setattr(witnesses, "_hfold_witness_bits", lambda group, h, maximizers: (bad.bits, "quotient"))
+    monkeypatch.setattr(witnesses, "_hfold_witness_bits", lambda group, h: (bad.bits, 4, "quotient"))
     monkeypatch.setattr(witnesses, "lift_preimage", lambda spec, subset: bad)
     with pytest.raises(ConstructionInvariantViolated, match="hfold_witness"):
         hfold_witness(g, 2)
-    with pytest.raises(ConstructionInvariantViolated, match="hfold_witness"):
-        interval_witness(g, 2)
     with pytest.raises(ConstructionInvariantViolated, match="interval_bound_witness"):
         interval_bound_witness(g, (4,), (1,), 2)
+    if indices == BAD_Z8_SETS["non-generating"]:
+        # the unrestricted interval certificate only reports generation
+        cert = interval_witness(g, 2)
+        assert cert.subset == bad and not cert.generates
+    else:
+        with pytest.raises(ConstructionInvariantViolated, match="interval_witness"):
+            interval_witness(g, 2)
+
+
+def test_least_attaining_divisor_is_alone_in_its_quotient():
+    # Why `_hfold_witness_bits` needs one quotient level: for the least d
+    # attaining the divisor bound for (n, h), d is the only divisor of d
+    # attaining it for (d, h), so the quotient set is built directly.
+    for n in range(2, 1001):
+        for h in range(1, 11):
+            d = min(max_incomplete_divisors(n, h)[1])
+            assert max_incomplete_divisors(d, h)[1] == (d,), (n, h)
+
+
+def test_each_builder_checks_its_set_once(monkeypatch):
+    calls = []
+    verified = witnesses._verified
+
+    def counted(builder, *args, **kwargs):
+        calls.append(builder)
+        return verified(builder, *args, **kwargs)
+
+    monkeypatch.setattr(witnesses, "_verified", counted)
+    g = GroupType((2, 4))
+    cert = hfold_witness(g, 3)
+    assert cert.branch == "quotient" and calls == ["hfold_witness(h=3)"]
+    calls.clear()
+    interval_witness(g, 3)
+    assert calls == ["interval_witness(s=3)"]
+    calls.clear()
+    interval_bound_witness(GroupType((2, 2, 4)), (2, 4), (1, 1), 3)
+    assert len(calls) == 1 and calls[0].startswith("interval_bound_witness")
 
 
 def test_interval_bound_witness_cyclic():

@@ -203,9 +203,9 @@ def _gather_groups(args, quantity: str, command: str) -> list[GroupType]:
     q = QUANTITIES[quantity]
     explicit = [parse_group(text) for text in (args.group or [])]
     orders: list[int] = []
-    if getattr(args, "order", None):
+    if args.order:
         orders.extend(_parse_span(args.order, "--order"))
-    if getattr(args, "max_order", None) is not None:
+    if args.max_order is not None:
         if args.max_order < 2:
             raise InvalidOrder(f"--max-order must be at least 2, got {args.max_order}")
         orders.extend(range(2, args.max_order + 1))
@@ -226,7 +226,7 @@ def _gather_groups(args, quantity: str, command: str) -> list[GroupType]:
 
 def _resolve_params(args, quantity: str) -> list[int | None]:
     flag = QUANTITIES[quantity].param
-    given = {"h": getattr(args, "h", None), "s": getattr(args, "s", None)}
+    given = {"h": args.h, "s": args.s}
     if flag is None:
         if given["h"] is not None or given["s"] is not None:
             raise UsageError(f"quantity {quantity} takes no --h/--s parameter")
@@ -404,11 +404,6 @@ def cmd_bound(args) -> int:
     return _print_certificate(best_interval_bound(parse_group(args.group), args.s), args.format)
 
 
-def cmd_sumfree(args) -> int:
-    args.quantity = "sumfree"
-    return cmd_verify(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="critnum",
@@ -463,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_selection(p_sumfree)
     add_format(p_sumfree)
     add_oracle(p_sumfree)
-    p_sumfree.set_defaults(func=cmd_sumfree, h=None, s=None)
+    p_sumfree.set_defaults(func=cmd_verify, quantity="sumfree", h=None, s=None)
 
     return parser
 

@@ -104,13 +104,21 @@ def max_incomplete_size(n: int, h: int) -> int:
     return max_incomplete_divisors(n, h)[0]
 
 
+def _divisor_max(n: int, h: int, least: int) -> tuple[int, tuple[int, ...]]:
+    """Largest divisor bound over divisors d >= least, with the d attaining it.
+
+    An empty range of divisors gives (0, ()).
+    """
+    bounds = {d: divisor_bound(n, d, h) for d in divisors(n) if d >= least}
+    best = max(bounds.values(), default=0)
+    return best, tuple(d for d, v in bounds.items() if v == best)
+
+
 def max_incomplete_divisors(n: int, h: int) -> tuple[int, tuple[int, ...]]:
     """The maximum divisor bound together with all divisors attaining it."""
     _check_order(n)
     _check_h(h)
-    vals = [(divisor_bound(n, d, h), d) for d in divisors(n)]
-    best = max(v for v, _ in vals)
-    return best, tuple(d for v, d in vals if v == best)
+    return _divisor_max(n, h, 1)
 
 
 def critical_number(n: int, h: int) -> int:
@@ -153,48 +161,21 @@ def subset_sum_critical_pair(group: GroupType) -> tuple[int, int]:
     return star, star + 1
 
 
-def _two_part(group: GroupType) -> tuple[int, int]:
-    """(order, exponent) of the 2-primary part of the group."""
-    order = 1
-    exponent = 1
-    for f in group.factors:
-        two = f & -f
-        order *= two
-        exponent = max(exponent, two)
-    return order, exponent
-
-
-def has_qualifying_subgroup(group: GroupType, m: int) -> bool:
-    """Does the group contain a subgroup of order m of exponent > 2?
-
-    For m with an odd prime factor this holds whenever m divides the order,
-    since abelian groups have subgroups of every dividing order and such a
-    subgroup cannot have exponent 2.  For m = 2^k the subgroup must pick up
-    an element of order 4, which is possible exactly when k >= 2, 2^k
-    divides the 2-primary part, and that part has exponent at least 4.
-    """
-    n = group.order
-    if m < 1 or n % m:
-        return False
-    if m == 1:
-        return False
-    if m & (m - 1):
-        return True
-    k = m.bit_length() - 1
-    two_order, two_exponent = _two_part(group)
-    return k >= 2 and two_order % m == 0 and two_exponent >= 4
-
-
 def interval3_branch_divisor(group: GroupType) -> int | None:
     """Smallest qualifying subgroup order for the interval-3 formula.
 
     Returns the least divisor m of the order with m congruent to 2 mod 3
     for which the group has a subgroup of order m and exponent > 2, or
     None when the floor branch applies.  No domain guards.
+
+    The test is arithmetic.  Every divisor of the order is the order of a
+    subgroup, and an odd prime factor of m forces exponent > 2.  For
+    m = 2^k, which is 2 or at least 8 when m is 2 mod 3, a subgroup of
+    order m with an element of order 4 exists exactly when k >= 2 and 4
+    divides the exponent of the group.
     """
-    n = group.order
-    for m in divisors(n):
-        if m % 3 == 2 and has_qualifying_subgroup(group, m):
+    for m in divisors(group.order):
+        if m % 3 == 2 and (m & (m - 1) or (m > 2 and group.exponent % 4 == 0)):
             return m
     return None
 
@@ -231,29 +212,18 @@ def generating_interval_critical_s3(group: GroupType) -> int:
     return interval3_piecewise_value(group)
 
 
-def generating_interval_critical_cyclic(n: int, s: int) -> int:
-    """Generating-restricted interval value for cyclic groups.
-
-    Returns 1 when n <= s+1 (every generating subset is complete), and
-    otherwise the divisor bound maximized over divisors d >= s+2.
-    """
-    return generating_interval_cyclic_divisors(n, s)[0]
-
-
 def generating_interval_cyclic_divisors(n: int, s: int) -> tuple[int, tuple[int, ...]]:
-    """Cyclic interval value with the divisors attaining it.
+    """Generating-restricted interval value of Z_n, with the divisors attaining it.
 
-    The divisor tuple is empty exactly on the small-order branch where the
-    value is 1 and no divisor contributes.
+    The value is one more than the divisor bound maximized over divisors
+    d >= s+2.  When n <= s+1 no divisor qualifies, so the value is 1 (every
+    generating subset is complete) and the divisor tuple is empty.
     """
     if not _is_int(n) or n < 1:
         raise InvalidOrder(f"order must be an integer >= 1, got {n!r}")
     _check_s(s)
-    if n <= s + 1:
-        return 1, ()
-    vals = [(divisor_bound(n, d, s) + 1, d) for d in divisors(n) if d >= s + 2]
-    value = max(v for v, _ in vals)
-    return value, tuple(d for v, d in vals if v == value)
+    best, attained = _divisor_max(n, s, s + 2)
+    return best + 1, attained
 
 
 def generating_interval_critical_two_group(r: int, s: int) -> int:

@@ -46,8 +46,6 @@ def quotient_spec(group: GroupType, d: int) -> QuotientSpec:
         e = math.gcd(group.factors[i], rem)
         evec[i] = e
         rem //= e
-    if rem != 1:
-        raise InvalidIndex(f"index {d} is not realizable in group {group}")
     return spec_for_quotient_type(group, [e for e in evec if e > 1])
 
 

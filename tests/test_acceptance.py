@@ -31,9 +31,9 @@ from critnum import (
     brute_max_sumfree,
     critical_number,
     cyclic,
-    generating_interval_critical_cyclic,
     generating_interval_critical_s3,
     generating_interval_critical_two_group,
+    generating_interval_cyclic_divisors,
     hfold_sumset,
     hfold_witness,
     interval3_piecewise_value,
@@ -114,7 +114,7 @@ def test_a04_cyclic_interval_formula():
     cases = 0
     for n in range(2, 17):
         for s in range(1, 6):
-            want = generating_interval_critical_cyclic(n, s)
+            want = generating_interval_cyclic_divisors(n, s)[0]
             got = _interval_value(cyclic(n), s)
             cases += 1
             if got != want:
@@ -344,7 +344,7 @@ def test_a12_search_matches_closed_forms_past_the_scan():
                 check(g, "chi_hat_interval", 3, generating_interval_critical_s3(g))
             if g.is_cyclic:
                 for s in (2, 4):
-                    check(g, "chi_hat_interval", s, generating_interval_critical_cyclic(n, s))
+                    check(g, "chi_hat_interval", s, generating_interval_cyclic_divisors(n, s)[0])
             star, whole = subset_sum_critical_pair(g)
             check(g, "cr_star", None, star)
             check(g, "cr", None, whole)
@@ -363,7 +363,7 @@ def test_a13_certificates_at_order_65536():
         failures.append(f"h-fold witness: size {cert.subset.size} vs {want}, "
                         f"generates={cert.generates}, incomplete={cert.incomplete}")
     bound = best_interval_bound(group, h)
-    want = generating_interval_critical_cyclic(n, h)
+    want = generating_interval_cyclic_divisors(n, h)[0]
     if bound.is_trivial or not (bound.generates and bound.incomplete):
         failures.append("interval bound: no verified witness")
     elif bound.bound != want or bound.witness.size != want - 1:

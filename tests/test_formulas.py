@@ -18,7 +18,6 @@ from critnum import (
     cyclic,
     divisor_bound,
     divisors,
-    generating_interval_critical_cyclic,
     generating_interval_critical_s3,
     generating_interval_critical_two_group,
     generating_interval_cyclic_divisors,
@@ -51,6 +50,9 @@ def test_divisor_bound_errors():
         divisor_bound(10, 20, 2)
     with pytest.raises(InvalidH):
         divisor_bound(10, 5, 0)
+    for n in (0, -4, 2.0):
+        with pytest.raises(InvalidOrder):
+            divisor_bound(n, 1, 2)
     # the bare bound tolerates n = 1; the maximum over divisors does not
     assert divisor_bound(1, 1, 2) == 0
     with pytest.raises(InvalidOrder):
@@ -198,18 +200,22 @@ def test_interval3_piecewise_outside_domain():
 
 def test_interval3_agrees_with_cyclic_formula():
     for n in range(5, 201):
-        assert generating_interval_critical_s3(cyclic(n)) == generating_interval_critical_cyclic(n, 3)
+        assert generating_interval_critical_s3(cyclic(n)) == generating_interval_cyclic_divisors(n, 3)[0]
 
 
 def test_cyclic_interval_formula():
-    assert generating_interval_critical_cyclic(4, 3) == 1
-    assert generating_interval_critical_cyclic(10, 3) == 5
-    assert generating_interval_critical_cyclic(5, 3) == 3
+    assert generating_interval_cyclic_divisors(4, 3)[0] == 1
+    assert generating_interval_cyclic_divisors(10, 3)[0] == 5
+    assert generating_interval_cyclic_divisors(5, 3)[0] == 3
+    # no divisor d >= s+2 exists, so the empty maximum gives the value 1
     for s in range(1, 7):
-        for n in range(2, s + 2):
-            assert generating_interval_critical_cyclic(n, s) == 1
+        for n in range(1, s + 2):
+            assert generating_interval_cyclic_divisors(n, s) == (1, ())
     with pytest.raises(InvalidS):
-        generating_interval_critical_cyclic(10, 0)
+        generating_interval_cyclic_divisors(10, 0)
+    for n in (0, -3, 4.0):
+        with pytest.raises(InvalidOrder):
+            generating_interval_cyclic_divisors(n, 2)
 
 
 def test_cyclic_interval_attaining_divisors():
@@ -228,7 +234,7 @@ def test_cyclic_interval_attaining_divisors():
 def test_cyclic_interval_never_exceeds_unrestricted():
     for n in range(2, 201):
         for s in range(1, 7):
-            assert generating_interval_critical_cyclic(n, s) <= critical_number(n, s)
+            assert generating_interval_cyclic_divisors(n, s)[0] <= critical_number(n, s)
 
 
 def test_two_group_interval_formula():

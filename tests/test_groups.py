@@ -117,6 +117,9 @@ def test_encode_decode_roundtrip():
     assert g.encode((1, 0)) == 1
     assert g.encode((0, 1)) == 2
     assert g.decode(7) == (1, 3)
+    for bad in (-1, 8, 2.0, True):
+        with pytest.raises(InvalidElement):
+            g.decode(bad)
 
 
 def test_index_arithmetic_matches_elements():

@@ -5,10 +5,14 @@ No linter ships with the project, so this parses `src/critnum/*.py` and
 listed in its `__all__` (the package's re-exports).  A module-level private
 name (`_name`) of the package must be read somewhere in the package outside
 its own definition, and must not rebind a name its module imports.
+README's export table lists exactly the names in `critnum.__all__`.
 """
 
 import ast
+import re
 from pathlib import Path
+
+import critnum
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "critnum").glob("*.py"))
@@ -80,3 +84,20 @@ def test_no_dead_private_names():
                 if name in imported or not any(name in names for other, names in reads if other is not node):
                     dead.append(f"{path.relative_to(ROOT)} line {node.lineno}: {name}")
     assert dead == []
+
+
+def test_readme_export_table_matches_all():
+    readme = (ROOT / "README.md").read_text()
+    count = re.search(r"The package exports (\d+) names", readme)
+    assert count and int(count.group(1)) == len(critnum.__all__)
+    table = readme[count.end():].split("\n\n")[1]
+    rows = dict(re.findall(r"^\| `(\w+)` +\| (.*) \|$", table, re.MULTILINE))
+    errors = rows.pop("errors")
+    listed = [name for cell in rows.values() for name in re.findall(r"`(\w+)`", cell)]
+    is_error = {
+        name: isinstance(obj, type) and issubclass(obj, critnum.CritnumError)
+        for name, obj in ((name, getattr(critnum, name)) for name in critnum.__all__)
+    }
+    assert sorted(listed) == sorted(name for name, err in is_error.items() if not err)
+    subclasses = re.search(r"`CritnumError` and its (\d+) subclasses", errors)
+    assert subclasses and int(subclasses.group(1)) == sum(is_error.values()) - 1

@@ -25,6 +25,7 @@ from critnum import (
     divisors,
     factorize,
     hfold_sumset,
+    interval3_branch_divisor,
     interval_sumset,
     is_complete,
     is_generating,
@@ -714,17 +715,11 @@ def test_quotient_feasibility_matches_brute():
 
 
 def test_qualifying_subgroup_detector_matches_brute():
-    from critnum import has_qualifying_subgroup
-
+    # the arithmetic interval-3 test against subgroups found by closure
     for n in range(2, 17):
         for g in abelian_types(n):
-            orders = {s.size for s in enumerate_subgroups(g)}
-            exp_by_order = {}
-            for s in enumerate_subgroups(g):
-                big = any(g.scalar(2, e) != g.zero() for e in s.elements())
-                exp_by_order.setdefault(s.size, []).append(big)
-            for m in range(1, n + 1):
-                if m not in orders:
-                    assert not has_qualifying_subgroup(g, m)
-                else:
-                    assert has_qualifying_subgroup(g, m) == any(exp_by_order[m])
+            qualifying = [
+                s.size for s in enumerate_subgroups(g)
+                if s.size % 3 == 2 and any(g.scalar(2, e) != g.zero() for e in s.elements())
+            ]
+            assert interval3_branch_divisor(g) == min(qualifying, default=None), g

@@ -341,6 +341,8 @@ def test_element_list_roundtrip():
     payload = a.to_element_list()
     assert payload == [[0, 0], [1, 3]]
     assert GroupSubset.from_elements(g, payload) == a
+    assert str(a) == "{(0, 0), (1, 3)}"
+    assert str(GroupSubset(g, 0)) == "{}"
 
 
 def test_hex_roundtrip():

@@ -14,8 +14,8 @@ from critnum import (
     abelian_types,
     best_interval_bound,
     cyclic,
-    generating_interval_critical_cyclic,
     generating_interval_critical_two_group,
+    generating_interval_cyclic_divisors,
     hfold_sumset,
     hfold_witness,
     interval_bound_witness,
@@ -260,7 +260,7 @@ def test_best_interval_bound_meets_cyclic_formula():
     for n in range(2, 101):
         for s in range(1, 6):
             cert = best_interval_bound(cyclic(n), s)
-            assert cert.bound == generating_interval_critical_cyclic(n, s)
+            assert cert.bound == generating_interval_cyclic_divisors(n, s)[0]
 
 
 def test_best_interval_bound_meets_two_group_formula():

@@ -107,9 +107,11 @@ def max_incomplete_size(n: int, h: int) -> int:
 def _divisor_max(n: int, h: int, least: int) -> tuple[int, tuple[int, ...]]:
     """Largest divisor bound over divisors d >= least, with the d attaining it.
 
-    An empty range of divisors gives (0, ()).
+    Takes checked arguments and computes each bound inline, as
+    `divisor_bound` does after its guards.  An empty range of divisors
+    gives (0, ()).
     """
-    bounds = {d: divisor_bound(n, d, h) for d in divisors(n) if d >= least}
+    bounds = {d: ((d - 2) // h + 1) * (n // d) for d in divisors(n) if d >= least}
     best = max(bounds.values(), default=0)
     return best, tuple(d for d, v in bounds.items() if v == best)
 

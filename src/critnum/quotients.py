@@ -46,7 +46,7 @@ def quotient_spec(group: GroupType, d: int) -> QuotientSpec:
         e = math.gcd(group.factors[i], rem)
         evec[i] = e
         rem //= e
-    return spec_for_quotient_type(group, [e for e in evec if e > 1])
+    return _top_aligned_spec(group, tuple(e for e in evec if e > 1))
 
 
 def quotient_type_feasible(group: GroupType, quotient_factors: Sequence[int]) -> bool:
@@ -72,21 +72,30 @@ def spec_for_quotient_type(group: GroupType, quotient_factors: Sequence[int]) ->
     ds = tuple(quotient_factors)
     if not quotient_type_feasible(group, ds):
         raise QuotientUnavailable(f"{ds!r} is not a quotient type of {group}")
+    return _top_aligned_spec(group, ds)
+
+
+def _top_aligned_spec(group: GroupType, ds: tuple[int, ...]) -> QuotientSpec:
+    """QuotientSpec of a type already known to be feasible; checks nothing."""
     evec = (1,) * (group.rank - len(ds)) + ds
     return QuotientSpec(group, evec, GroupType(ds), math.prod(ds))
 
 
 def lift_preimage(spec: QuotientSpec, subset: GroupSubset) -> GroupSubset:
-    """Full preimage of a quotient subset; its size is |B| * n / d.
+    """Full preimage of a quotient subset; its size is |B| * n / d."""
+    if subset.group != spec.quotient:
+        raise SpecMismatch(f"subset lives in {subset.group}, quotient is {spec.quotient}")
+    return GroupSubset(spec.parent, _lift_bits(spec, subset.bits))
+
+
+def _lift_bits(spec: QuotientSpec, bits: int) -> int:
+    """Mask of the full preimage of a quotient mask; checks nothing.
 
     Coordinates are expanded from the lowest up.  Before coordinate i each
     run of low * e_i bits (low = f_1 * ... * f_(i-1)) holds one value of
     the quotient digits above i; it becomes low * f_i bits by one
     multiplication with the repunit that repeats it f_i / e_i times.
     """
-    if subset.group != spec.quotient:
-        raise SpecMismatch(f"subset lives in {subset.group}, quotient is {spec.quotient}")
-    bits = subset.bits
     low = 1
     for f, e in zip(spec.parent.factors, spec.divisor_vector):
         if e != f:
@@ -101,7 +110,7 @@ def lift_preimage(spec: QuotientSpec, subset: GroupSubset) -> GroupSubset:
                 shift += wide
             bits = spread
         low *= f
-    return GroupSubset(spec.parent, bits)
+    return bits
 
 
 def kernel_subset(spec: QuotientSpec) -> GroupSubset:

@@ -97,9 +97,24 @@ class Layout:
         self.axes = tuple(axes)
 
 
-@lru_cache(maxsize=512)
+_layouts: dict[GroupType, Layout] = {}
+
+
 def layout_for(group: GroupType) -> Layout:
-    return Layout(group.factors)
+    """The cached Layout of a group.
+
+    The cache is bounded by memory, which grows with the order: it keeps
+    Layouts while their orders sum to at most 4 * MAX_LAYOUT_ORDER, and a
+    miss evicts the oldest entries until the new Layout fits.
+    """
+    layout = _layouts.get(group)
+    if layout is None:
+        layout = Layout(group.factors)
+        held = layout.order + sum(kept.order for kept in _layouts.values())
+        while held > 4 * MAX_LAYOUT_ORDER:
+            held -= _layouts.pop(next(iter(_layouts))).order
+        _layouts[group] = layout
+    return layout
 
 
 def translate_bits(layout: Layout, bits: int, index: int) -> int:

@@ -13,6 +13,11 @@ Constructors are fail-closed: every certificate, and the oracle search's
 witness, passes one check, `_verified`, which recomputes size,
 generation, and incompleteness with the kernels before it is returned.
 Each builder checks only the set it returns, once.
+
+Arguments are checked once, by the public functions.  The private cores
+under the builders (`_hfold_witness_bits`, `_bound_certificate`) take
+checked arguments and re-run no public guard on them; `_verified` checks
+the set they return.
 """
 
 from __future__ import annotations
@@ -23,13 +28,15 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConditionViolated, ConstructionInvariantViolated
-from .formulas import _check_h, _check_s, max_incomplete_divisors
+from .formulas import _check_h, _check_s, _divisor_max
 from .groups import GroupType, _is_int, divisors, is_prime
 from .quotients import (
+    QuotientSpec,
+    _lift_bits,
+    _top_aligned_spec,
     closure_bits,
     lift_preimage,
     quotient_spec,
-    quotient_type_feasible,
     spec_for_quotient_type,
 )
 from .sumsets import GroupSubset, Layout, hfold_bits, interval_bits, layout_for, translate_bits
@@ -125,7 +132,7 @@ def _hfold_witness_bits(group: GroupType, h: int) -> tuple[int, int, str]:
     a full preimage.  One level is enough: a proper divisor of d attaining
     the bound for order d would attain it for n.
     """
-    size, maximizers = max_incomplete_divisors(group.order, h)
+    size, maximizers = _divisor_max(group.order, h, 1)
     d = min(maximizers)
     spec = quotient_spec(group, d) if d < group.order else None
     base = spec.quotient if spec else group
@@ -148,7 +155,7 @@ def _hfold_witness_bits(group: GroupType, h: int) -> tuple[int, int, str]:
         branch = "product"
     if spec is None:
         return bits, size, branch
-    return lift_preimage(spec, GroupSubset(base, bits)).bits, size, "quotient"
+    return _lift_bits(spec, bits), size, "quotient"
 
 
 def hfold_witness(group: GroupType, h: int) -> WitnessCertificate:
@@ -175,8 +182,13 @@ def interval_witness(group: GroupType, s: int) -> WitnessCertificate:
     _check_s(s)
     bits, size, _ = _hfold_witness_bits(group, s)
     layout = layout_for(group)
-    low = (bits & -bits).bit_length() - 1
-    bits = translate_bits(layout, bits, group.encode(group.neg(group.decode(low))))
+    # the flat index of minus the lowest element, negated digit by digit
+    low, neg, stride = (bits & -bits).bit_length() - 1, 0, 1
+    for f in group.factors:
+        low, c = divmod(low, f)
+        neg += -c % f * stride
+        stride *= f
+    bits = translate_bits(layout, bits, neg)
     expansion = interval_bits(layout, bits, s)
     generates = _verified(f"interval_witness(s={s})", layout, bits, size, expansion, generating=False)
     return WitnessCertificate(group, "interval", s, GroupSubset(group, bits), size, generates, True, "translate")
@@ -208,6 +220,12 @@ def interval_bound_witness(
         raise ConditionViolated(
             f"ceiling condition fails for type {ds}, counts {cs}, interval length {s}"
         )
+    return _bound_certificate(spec, cs, s)
+
+
+def _bound_certificate(spec: QuotientSpec, cs: tuple[int, ...], s: int) -> BoundCertificate:
+    """The bound certificate of checked counts on a feasible quotient."""
+    group, ds = spec.parent, spec.quotient.factors
     # The pattern is {0} and y*e_i for 1 <= y <= ci; e_i has flat index
     # stride_i = d1*...*d(i-1) in the quotient.
     pattern = 1
@@ -265,14 +283,14 @@ def best_interval_bound(group: GroupType, s: int) -> BoundCertificate:
     """Search all quotient patterns for the best coset lower bound.
 
     Candidate quotient types (d1, ..., dt) take each di from the divisors of
-    the t top invariant factors and keep those `quotient_type_feasible`
-    accepts.  The best bound wins; ties are broken toward the smallest
-    quotient order, then the smallest c-vector, then the smallest type, a
-    total order, so results are deterministic.  For each type only the
-    c-vector of largest sum can win, and of those the least one, which
-    `_best_counts` finds without listing every c-vector.  When no pattern
-    satisfies the hypothesis the trivial certificate (bound 1, no witness)
-    is returned.
+    the t top invariant factors, so each di divides its aligned factor and
+    a type is feasible exactly when it is a divisor chain.  The best bound
+    wins; ties are broken toward the smallest quotient order, then the
+    smallest c-vector, then the smallest type, a total order, so results
+    are deterministic.  For each type only the c-vector of largest sum can
+    win, and of those the least one, which `_best_counts` finds without
+    listing every c-vector.  When no pattern satisfies the hypothesis the
+    trivial certificate (bound 1, no witness) is returned.
     """
     _check_s(s)
     n = group.order
@@ -280,7 +298,7 @@ def best_interval_bound(group: GroupType, s: int) -> BoundCertificate:
     for t in range(1, group.rank + 1):
         slots = [divisors(f)[1:] for f in group.factors[-t:]]
         for ds in itertools.product(*slots):
-            if not quotient_type_feasible(group, ds):
+            if any(ds[i + 1] % ds[i] for i in range(t - 1)):
                 continue
             found = _best_counts(ds, s + 1)
             if found is None:
@@ -293,4 +311,4 @@ def best_interval_bound(group: GroupType, s: int) -> BoundCertificate:
                 best = key
     if best is None:
         return BoundCertificate(group, s, (), (), 1, None, None, None)
-    return interval_bound_witness(group, best[3], best[2], s)
+    return _bound_certificate(_top_aligned_spec(group, best[3]), best[2], s)

@@ -66,6 +66,8 @@ def test_quotient_spec_matches_greedy_vector():
         for g in abelian_types(n):
             for d in divisors(n)[1:]:
                 evec = _greedy_vector(g, d)
+                # feasible by construction, so quotient_spec builds it unchecked
+                assert quotient_type_feasible(g, tuple(e for e in evec if e > 1)), (g, d)
                 spec = quotient_spec(g, d)
                 assert spec.divisor_vector == evec, (g, d)
                 assert spec.quotient == GroupType(tuple(e for e in evec if e > 1)), (g, d)

@@ -209,6 +209,43 @@ def test_layout_refuses_orders_above_the_limit():
         hfold_sumset(GroupSubset.from_indices(cyclic(1 << 20), [1]), 2)
 
 
+def test_layout_cache_is_bounded_by_the_orders_it_holds(monkeypatch):
+    # the cache keeps Layouts while their orders sum to at most
+    # 4 * MAX_LAYOUT_ORDER, evicting the oldest first; a hit builds nothing
+    monkeypatch.setattr(critnum.sumsets, "MAX_LAYOUT_ORDER", 16)
+    monkeypatch.setattr(critnum.sumsets, "_layouts", {})
+    builds = []
+
+    def counted(factors):
+        builds.append(factors)
+        return Layout(factors)
+
+    # looked up at call time, as the benchmark's tracer relies on
+    monkeypatch.setattr(critnum.sumsets, "Layout", counted)
+    steps = [
+        ((16,), [(16,)]),
+        ((2, 8), [(16,), (2, 8)]),
+        ((4, 4), [(16,), (2, 8), (4, 4)]),
+        ((2, 2, 4), [(16,), (2, 8), (4, 4), (2, 2, 4)]),
+        ((2, 2, 2, 2), [(2, 8), (4, 4), (2, 2, 4), (2, 2, 2, 2)]),
+        ((2, 8), [(2, 8), (4, 4), (2, 2, 4), (2, 2, 2, 2)]),
+        ((8,), [(4, 4), (2, 2, 4), (2, 2, 2, 2), (8,)]),
+        ((2,), [(4, 4), (2, 2, 4), (2, 2, 2, 2), (8,), (2,)]),
+        ((12,), [(2, 2, 4), (2, 2, 2, 2), (8,), (2,), (12,)]),
+    ]
+    for factors, kept in steps:
+        layout = layout_for(GroupType(factors))
+        assert layout.factors == factors
+        held = critnum.sumsets._layouts
+        assert [g.factors for g in held] == kept, factors
+        assert sum(x.order for x in held.values()) <= 4 * 16
+        assert layout_for(GroupType(factors)) is layout
+    assert builds == [(16,), (2, 8), (4, 4), (2, 2, 4), (2, 2, 2, 2), (8,), (2,), (12,)]
+    with pytest.raises(InvalidOrder):
+        layout_for(cyclic(17))
+    assert [g.factors for g in critnum.sumsets._layouts] == steps[-1][1]
+
+
 def test_interval_zero_fold():
     g = cyclic(5)
     a = GroupSubset.from_indices(g, [2, 3])

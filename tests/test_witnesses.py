@@ -10,10 +10,16 @@ from critnum import (
     ConstructionInvariantViolated,
     GroupSubset,
     GroupType,
+    InvalidDivisor,
+    InvalidH,
+    InvalidIndex,
+    InvalidOrder,
+    InvalidS,
     QuotientUnavailable,
     abelian_types,
     best_interval_bound,
     cyclic,
+    divisor_bound,
     generating_interval_critical_two_group,
     generating_interval_cyclic_divisors,
     hfold_sumset,
@@ -25,6 +31,8 @@ from critnum import (
     is_generating,
     max_incomplete_divisors,
     max_incomplete_size,
+    quotient_spec,
+    spec_for_quotient_type,
     subgroup_generated,
 )
 from critnum import witnesses
@@ -94,13 +102,54 @@ def test_hfold_witness_grid_consistency():
 
 
 def test_interval_witness_contains_zero():
-    for n, s in ((7, 2), (10, 3), (16, 2), (9, 4)):
+    # the h-fold witness translated by minus its lowest element, computed
+    # here through the public GroupType API
+    for n in range(2, 65):
         for g in abelian_types(n):
-            cert = interval_witness(g, s)
-            assert cert.branch == "translate"
-            assert cert.subset.contains_index(0)
-            assert cert.claimed_size == max_incomplete_size(n, s)
-            assert not is_complete(interval_sumset(cert.subset, s))
+            for s in range(1, 9):
+                cert = interval_witness(g, s)
+                assert cert.branch == "translate"
+                assert cert.subset.contains_index(0)
+                assert cert.claimed_size == max_incomplete_size(n, s)
+                assert not is_complete(interval_sumset(cert.subset, s))
+                hfold = hfold_witness(g, s).subset
+                low = g.decode(min(hfold.indices()))
+                assert cert.subset == hfold.translated(g.neg(low)), (g, s)
+
+
+# Arguments of the wrong type or out of range, for each public function on
+# the certificate path; the private cores under them check nothing again.
+GUARD_CASES = {
+    **{
+        f"{builder.__name__}-{arg!r}": (builder, (cyclic(8), arg), error)
+        for builder, error in (
+            (hfold_witness, InvalidH),
+            (interval_witness, InvalidS),
+            (best_interval_bound, InvalidS),
+        )
+        for arg in (True, 2.0, 0)
+    },
+    "interval_bound_witness-count-True": (
+        interval_bound_witness, (cyclic(6), (6,), (True,), 2), ConditionViolated
+    ),
+    "interval_bound_witness-s-0": (interval_bound_witness, (cyclic(6), (6,), (2,), 0), InvalidS),
+    "quotient_spec-True": (quotient_spec, (GroupType((2, 4)), True), InvalidIndex),
+    "quotient_spec-2.0": (quotient_spec, (GroupType((2, 4)), 2.0), InvalidIndex),
+    "spec_for_quotient_type-2.0": (spec_for_quotient_type, (GroupType((2, 4)), (2.0,)), QuotientUnavailable),
+    "max_incomplete_divisors-True": (max_incomplete_divisors, (True, 2), InvalidOrder),
+    "max_incomplete_divisors-1": (max_incomplete_divisors, (1, 2), InvalidOrder),
+    "max_incomplete_divisors-h-True": (max_incomplete_divisors, (12, True), InvalidH),
+    "divisor_bound-2.0": (divisor_bound, (12, 2.0, 2), InvalidDivisor),
+    "divisor_bound-h-True": (divisor_bound, (12, 2, True), InvalidH),
+}
+
+
+@pytest.mark.parametrize("fn, args, error", GUARD_CASES.values(), ids=GUARD_CASES.keys())
+def test_public_guards_on_the_certificate_path(fn, args, error):
+    with pytest.raises(error):
+        fn(*args)
+    if fn is spec_for_quotient_type:
+        assert quotient_type_feasible(*args) is False
 
 
 # Sets of Z8 that each break one rule the certificates of Z8 at h = s = 2

@@ -193,8 +193,9 @@ def _parse_span(text: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} value {text!r} is not an integer") from None
 
 
-def _gather_groups(args, quantity: str, command: str) -> list[GroupType]:
-    """Resolve --group/--order/--max-order into a sorted, deduplicated list.
+def _gather_groups(args, quantity: str, command: str) -> tuple[list[GroupType], set[GroupType]]:
+    """Resolve --group/--order/--max-order into a sorted, deduplicated list,
+    returned with the set of the groups named by --group.
 
     Swept groups (from order ranges) are filtered by the quantity's
     `applies`, and in `formula` by its `validated`; explicitly named groups
@@ -221,7 +222,7 @@ def _gather_groups(args, quantity: str, command: str) -> list[GroupType]:
     groups = sorted(merged.values(), key=lambda g: (g.order, g.factors))
     if not groups:
         raise UsageError("no groups selected; pass --group, --order, or --max-order")
-    return groups
+    return groups, set(explicit)
 
 
 def _resolve_params(args, quantity: str) -> list[int | None]:
@@ -329,7 +330,7 @@ def _emit_table(rows: list[dict], fmt: str, out, extra: dict | None = None) -> N
 
 def cmd_formula(args) -> int:
     quantity = args.quantity
-    groups = _gather_groups(args, quantity, "formula")
+    groups, _ = _gather_groups(args, quantity, "formula")
     params = _resolve_params(args, quantity)
     rows = []
     for group in groups:
@@ -343,9 +344,8 @@ def cmd_verify(args) -> int:
     if args.workers < 1:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
     quantity = args.quantity
-    groups = _gather_groups(args, quantity, "verify")
+    groups, explicit = _gather_groups(args, quantity, "verify")
     params = _resolve_params(args, quantity)
-    explicit = {parse_group(t).factors for t in (args.group or [])}
     budget = _resolve_budget(groups, args.budget_ack)
     rows: list[dict] = []
     mismatches: list[dict] = []
@@ -355,7 +355,7 @@ def cmd_verify(args) -> int:
             break
         for param in params:
             try:
-                produced = _quantity_rows(quantity, group, param, budget, group.factors not in explicit)
+                produced = _quantity_rows(quantity, group, param, budget, group not in explicit)
             except BudgetExceeded as exc:
                 aborted = exc
                 break

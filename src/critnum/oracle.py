@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Iterator
 
 from .errors import BudgetExceeded, InvalidOrder, InvalidWorkers
 from .formulas import CriticalKind
@@ -104,22 +105,16 @@ def brute_critical_witness(
     return 1, None
 
 
-def _digits(factors: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Per coordinate j, the digit x_j of every flat index x."""
-    n = math.prod(factors)
-    stride = 1
-    tables = []
-    for f in factors:
-        tables.append(tuple(x // stride % f for x in range(n)))
-        stride *= f
-    return tuple(tables)
+def _digits(factors: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Per coordinate j: the flat index of e_j, f_j, and x_j for every flat index x."""
+    strides = [math.prod(factors[:j]) for j in range(len(factors))]
+    return [(s, f, tuple(x // s % f for x in range(math.prod(factors)))) for s, f in zip(strides, factors)]
 
 
 # Past this many maximal subgroups the search tests generation by closure.
 _MAX_MASKS = 64
 
 
-@lru_cache(maxsize=512)
 def _maximal_subgroups(factors: tuple[int, ...]) -> tuple[int, ...] | None:
     """One mask per maximal subgroup of the group with these factors.
 
@@ -139,7 +134,7 @@ def _maximal_subgroups(factors: tuple[int, ...]) -> tuple[int, ...] | None:
     digits = _digits(factors)
     masks = []
     for p in primes:
-        axes = [column for column, f in zip(digits, factors) if f % p == 0]
+        axes = [column for _, f, column in digits if f % p == 0]
         for lead, first in enumerate(axes):
             for coeffs in itertools.product(range(p), repeat=len(axes) - lead - 1):
                 values = first
@@ -149,56 +144,53 @@ def _maximal_subgroups(factors: tuple[int, ...]) -> tuple[int, ...] | None:
     return tuple(masks)
 
 
-def _anchor_generators(factors: tuple[int, ...], fold: int) -> list[list[int]]:
-    """Index permutations whose orbits `_anchor_representatives` merges.
+def _anchor_generators(factors: tuple[int, ...], fold: int) -> Iterator[list[int]]:
+    """Index permutations whose orbits `_anchor_representatives` merges,
+    yielded one at a time.
 
     Each adds m*x_i (or the constant fold) to one coordinate x_j:
-    - unit scalings x_i -> u*x_i, u coprime to f_i (j = i, m = u - 1);
     - transvections e_i -> e_i + k*e_j for i != j, k = f_j / gcd(f_i, f_j),
       so f_i*k*e_j = 0 and the map is an automorphism with inverse -k;
     - when fold != 0, translations by fold*e_j.
+    The unit scalings are merged by `_anchor_representatives` itself.
     """
-    strides = [math.prod(factors[:j]) for j in range(len(factors))]
-    coords = _digits(factors)
+    digits = _digits(factors)
 
     def adding(j: int, amounts) -> list[int]:
-        f, s = factors[j], strides[j]
-        return [x + ((c + a) % f - c) * s for x, (c, a) in enumerate(zip(coords[j], amounts))]
+        s, f, column = digits[j]
+        return [x + ((c + a) % f - c) * s for x, (c, a) in enumerate(zip(column, amounts))]
 
-    perms = []
-    for i, f in enumerate(factors):
-        units = [u for u in range(2, f) if math.gcd(u, f) == 1]
-        perms += [adding(i, [(u - 1) * c for c in coords[i]]) for u in units]
-        for j, fj in enumerate(factors):
+    for i, (_, f, column) in enumerate(digits):
+        for j, (_, fj, _) in enumerate(digits):
             if j != i:
                 k = fj // math.gcd(f, fj)
-                perms.append(adding(j, [k * c for c in coords[i]]))
+                yield adding(j, [k * c for c in column])
         if fold:
-            perms.append(adding(i, itertools.repeat(fold)))
-    return perms
+            yield adding(i, itertools.repeat(fold))
 
 
-@lru_cache(maxsize=512)
 def _anchor_representatives(factors: tuple[int, ...], fold: int) -> tuple[int, ...]:
     """The least index of every orbit of g -> sigma(g) + fold*t.
 
-    sigma runs over the automorphisms generated by `_anchor_generators`'
-    unit scalings and transvections, t over the group.  With fold = 0 there
-    is no translation, so zero is its own orbit and comes first.  The orbits
-    are merged by union-find over the generator permutations.  Both kinds of
-    map preserve what the search asks of an anchor: if A misses g in its
-    expansion then sigma(A) misses sigma(g), and for the h-fold sumset over
-    the whole group A + t misses g + h*t.  Whether the maps generate all of
-    Aut(G) changes how many anchors remain, never a value.
+    sigma runs over the automorphisms generated by unit scalings x_i -> u*x_i
+    and `_anchor_generators`' transvections, t over the group; with fold = 0
+    zero is its own orbit and comes first.  Union-find merges the orbits over
+    the generators and, as c and gcd(c, f) are unit multiples mod f, over
+    x_i -> gcd(x_i, f_i) for each f_i > 2.  Each map keeps what the search asks
+    of an anchor: if A misses g in its expansion then sigma(A) misses sigma(g),
+    and for the h-fold sumset over the whole group A + t misses g + h*t.  Maps
+    short of all of Aut(G) leave more anchors, never another value.
     """
     root = list(range(math.prod(factors)))
+    links = ([x + (math.gcd(c, f) % f - c) * s for x, c in enumerate(column)]
+             for s, f, column in _digits(factors) if f > 2)
 
     def find(x: int) -> int:
         while root[x] != x:
             root[x] = x = root[root[x]]
         return x
 
-    for perm in _anchor_generators(factors, fold):
+    for perm in itertools.chain(links, _anchor_generators(factors, fold)):
         for x, y in enumerate(perm):
             a, b = find(x), find(y)
             if a != b:
@@ -215,13 +207,22 @@ def _expansion(layout, kind: CriticalKind, bits: int) -> int:
     return subset_sums_bits(layout, bits)
 
 
-@lru_cache(maxsize=512)
-def _preimages(factors: tuple[int, ...], j: int) -> tuple[int, ...]:
-    """Per element m, the mask of the elements y with j*y = m."""
-    pre = [0] * math.prod(factors)
-    for y, jy in enumerate(_multiples(factors, j)):
-        pre[jy] |= 1 << y
-    return tuple(pre)
+def _preimages(factors: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]]:
+    """The kernel mask K of y -> j*y and, per m, the least root of j*y = m or n.
+
+    The roots of j*y_i = m_i step by K's period p_i = f_i / gcd(j, f_i) from
+    one below p_i, so {y : j*y = m} = K << least[m] with no carry; K << n
+    drops nothing below n.
+    """
+    n = math.prod(factors)
+    kernel, least, stride = 1, [0], 1
+    for f in factors:
+        period = f // math.gcd(j, f)
+        roots = {j * y % f: y * stride for y in range(period)}
+        kernel = sum(kernel << c * stride for c in range(0, f, period))
+        least = [min(roots.get(c, n) + prev, n) for c in range(f) for prev in least]
+        stride *= f
+    return kernel, tuple(least)
 
 
 def _greedy_matching(layout, neg, layer: int, cand: int, need: int) -> dict[int, int]:
@@ -280,8 +281,8 @@ def search_critical_witness(
     only grow.  For the same reason a node tests only what is new to its
     layers since its parent's (all empty above the root): j = 1 is one mask
     operation, and for 2 <= j <= param each element m new to D[param - j]
-    drops its preimages {y : j*y = m}.  For subset sums the single layer is
-    D = g - Sum(A) with D' = D | (D - x).
+    drops its preimages {y : j*y = m}, a shifted kernel (`_preimages`).
+    For subset sums the single layer is D = g - Sum(A) with D' = D | (D - x).
 
     A node branches on its lowest candidate, except that for the generating
     kinds it takes, among the masks that still contain its set, the one
@@ -306,15 +307,17 @@ def search_critical_witness(
     so a set generates when none is left; past `_MAX_MASKS` masks there is
     no generation cut or generation-first branch, and a would-be new best
     is tested by `closure_bits`.
-    The result passes `witnesses._verified` before it is returned.
+    The result passes `witnesses._verified` before it is returned.  Every
+    table the search reads lives and dies with the group's `Layout`.  It
+    nests one call per set element, so a set past the interpreter's
+    recursion limit (about 1,000 elements) raises BudgetExceeded.
     """
     group = query.group
-    factors = group.factors
     n = group.order
     _check_budget(n, budget)
     layout = layout_for(group)
     full = layout.full
-    neg = _multiples(factors, -1)
+    neg = layout.table(_multiples, -1)
     kind = query.kind
     mode = kind.mode
     param = kind.param
@@ -323,16 +326,14 @@ def search_critical_witness(
     # [0,s]A = [0,s](A | {0}), so the interval kinds search only sets holding 0
     held = 1 if mode == "interval" else 0
     pool = full ^ 1 if kind.excludes_zero or held else full
-    anchors = _anchor_representatives(factors, param if kind.tag == "chi_h" else 0)
+    anchors = layout.table(_anchor_representatives, param if kind.tag == "chi_h" else 0)
     if mode != "hfold":
         anchors = anchors[1:]  # drop 0, which lies in every [0,s]A and Sum(A)
-    # Candidate y is dropped when j*y lands in layer param - j: j = 1 is a
-    # mask operation, and for 2 <= j <= param each element new to the layer
-    # drops its preimages under j (the older ones already have).  The layer
+    # Candidate y is dropped when j*y lands in layer param - j; the layer
     # D[0] = {g} that j = param reads is new only at the root.
-    middle = [(param - j, _preimages(factors, j)) for j in range(2, param + 1)] if param else []
+    middle = [(param - j, *layout.table(_preimages, j)) for j in range(2, param + 1)] if param else []
 
-    maxes = _maximal_subgroups(factors) if restrict else ()  # None: test new bests by closure
+    maxes = layout.table(_maximal_subgroups) if restrict else ()  # None: test new bests by closure
     # two candidates y, z conflict when y + z lies in this layer
     conflict_level = 0 if mode == "sums" else param - 2 if param >= 2 else None
 
@@ -347,12 +348,12 @@ def search_critical_witness(
         if size > best and not around and (maxes is not None or closure_bits(layout, bits) == full):
             best, best_bits = size, bits
         cand &= ~layers[-1]
-        for level, pre in middle:
+        for level, kernel, least in middle:
             fresh = layers[level] & ~before[level]
             while fresh:
                 z = fresh & -fresh
                 fresh ^= z
-                cand &= ~pre[z.bit_length() - 1]
+                cand &= ~(kernel << least[z.bit_length() - 1])
         # a matching in cand's conflict graph, computed when best was
         # paired_at; popping a matched candidate takes its pair out
         mate, paired_at = {}, None
@@ -387,11 +388,15 @@ def search_critical_witness(
                 new_layers.append(prev)
             descend(bits | x, cand, layers, new_layers, [m for m in around if m & x] if around else around)
 
-    for g in anchors:
-        anchor = 1 << g
-        # g - [0,k]{0} = g - Sum{} = {g} for every k; g - k{} is empty for k >= 1
-        layers = [anchor] + [anchor if mode == "interval" else 0] * len(deeper)
-        descend(held, pool, [0] * len(layers), layers, list(maxes or ()))
+    try:
+        for g in anchors:
+            anchor = 1 << g
+            # g - [0,k]{0} = g - Sum{} = {g} for every k; g - k{} is empty for k >= 1
+            layers = [anchor] + [anchor if mode == "interval" else 0] * len(deeper)
+            descend(held, pool, [0] * len(layers), layers, list(maxes or ()))
+    except RecursionError:
+        raise BudgetExceeded(f"the {kind.tag} search on {group} nests one call per set element "
+                             f"and passed the recursion limit {sys.getrecursionlimit()}") from None
 
     if best < 0:
         return 1, None
@@ -418,7 +423,9 @@ def brute_max_sumfree(n: int, *, budget: int | None = None) -> int:
     Depth-first search over elements 1..n-1 in increasing order, keeping
     the set and its pairwise-sum mask incrementally; branches are cut when
     the remaining elements cannot beat the best size found so far.  The
-    search never consults the closed form.
+    search never consults the closed form.  It nests one call per element
+    of the group, so an order past the interpreter's recursion limit
+    (about 1,000) raises BudgetExceeded.
     """
     if not _is_int(n) or n < 2:
         raise InvalidOrder(f"sum-free search needs a cyclic order >= 2, got {n!r}")
@@ -440,5 +447,9 @@ def brute_max_sumfree(n: int, *, budget: int | None = None) -> int:
                     rec(e + 1, amask | 1 << e, twoa | shifted | 1 << double, size + 1)
         rec(e + 1, amask, twoa, size)
 
-    rec(1, 0, 0, 0)
+    try:
+        rec(1, 0, 0, 0)
+    except RecursionError:
+        raise BudgetExceeded(f"the sum-free search on order {n} nests one call per element "
+                             f"and passed the recursion limit {sys.getrecursionlimit()}") from None
     return best

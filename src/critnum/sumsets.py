@@ -19,7 +19,7 @@ whole group once |kA| + |A| > n, because then g - A meets kA for every g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -32,7 +32,6 @@ from .groups import GroupType, _is_int, factorize
 MAX_LAYOUT_ORDER = 1 << 18
 
 
-@lru_cache(maxsize=512)
 def _multiples(factors: tuple[int, ...], k: int) -> tuple[int, ...]:
     """Flat index of k*x for every flat index x, one coordinate at a time."""
     table = [0]
@@ -59,10 +58,10 @@ class Layout:
     every block of stride * f bits.
 
     Orders above MAX_LAYOUT_ORDER are refused with InvalidOrder before any
-    table is built.
+    table is built.  Other modules' per-shape tables live in `tables`.
     """
 
-    __slots__ = ("factors", "order", "full", "shift_ops", "axes")
+    __slots__ = ("factors", "order", "full", "shift_ops", "axes", "tables")
 
     def __init__(self, factors: tuple[int, ...]):
         group = GroupType(factors)
@@ -95,6 +94,13 @@ class Layout:
             stride = block
         self.shift_ops = tuple(ops)
         self.axes = tuple(axes)
+        self.tables: dict[tuple, object] = {}
+
+    def table(self, build, *args):
+        """build(factors, *args), built on first use and dropped with this Layout."""
+        if (build, args) not in self.tables:
+            self.tables[build, args] = build(self.factors, *args)
+        return self.tables[build, args]
 
 
 _layouts: dict[GroupType, Layout] = {}
@@ -104,8 +110,8 @@ def layout_for(group: GroupType) -> Layout:
     """The cached Layout of a group.
 
     The cache is bounded by memory, which grows with the order: it keeps
-    Layouts while their orders sum to at most 4 * MAX_LAYOUT_ORDER, and a
-    miss evicts the oldest entries until the new Layout fits.
+    Layouts, each with its `Layout.table` tables, while their orders sum to
+    at most 4 * MAX_LAYOUT_ORDER; a miss evicts the oldest until it fits.
     """
     layout = _layouts.get(group)
     if layout is None:

@@ -1,15 +1,18 @@
-"""Opt-in timing of the exact search at its s = 3 frontier.
+"""Opt-in timing of the exact search at its s = 3 frontier and at scale.
 
-Runs `search_critical_witness` on the `chi_hat_interval` queries of the
-ROADMAP's stall table and on every non-exponent-2 type of order 48 at
-s = 3 (the orders past acceptance tier A14).  Each value is checked against
-its closed form: the exponent-2 rank formula for Z2^r, the s = 3 structure
-formula otherwise.  Prints value, time and the `translate_bits` calls the
-search makes through `critnum.oracle` per query and in total, and exits 1
-on any mismatch.  The call count is a deterministic measure of the
-search's work; the script counts it by wrapping that module attribute.
-pytest does not collect it (no `test_` prefix).  Run from the repository
-root:
+First runs `chi_h` and `chi_hat_interval` at h = s = 2 on Z1024 and
+Z2xZ512, checked against critical_number(1024, 2), and prints each query's
+anchor-build time (`critnum.oracle._anchor_representatives`, wrapped as a
+module attribute) and total time.  Then runs `search_critical_witness` on
+the `chi_hat_interval` queries of the ROADMAP's stall table and on every
+non-exponent-2 type of order 48 at s = 3 (the orders past acceptance tier
+A14).  Each value is checked against its closed form: the exponent-2 rank
+formula for Z2^r, the s = 3 structure formula otherwise.  Prints value,
+time and the `translate_bits` calls the search makes through
+`critnum.oracle` per query and in total, and exits 1 on any mismatch.  The
+call count is a deterministic measure of the search's work; the script
+counts it by wrapping that module attribute.  pytest does not collect it
+(no `test_` prefix).  Run from the repository root:
 
     PYTHONPATH=src python tests/s3_frontier.py
 """
@@ -23,6 +26,7 @@ from critnum import (
     GroupType,
     OracleQuery,
     abelian_types,
+    critical_number,
     generating_interval_critical_s3,
     generating_interval_critical_two_group,
     search_critical_witness,
@@ -41,6 +45,9 @@ STALL_ROWS = [
     ((2, 2, 2, 2, 2), 5),
 ]
 
+# (factors, tag) for the h = s = 2 rows at order 1024
+SCALE_ROWS = [((1024,), "chi_h"), ((1024,), "chi_hat_interval"), ((2, 512), "chi_h"), ((2, 512), "chi_hat_interval")]
+
 
 def expected(group: GroupType, s: int) -> int:
     if group.is_elementary_two:
@@ -48,7 +55,40 @@ def expected(group: GroupType, s: int) -> int:
     return generating_interval_critical_s3(group)
 
 
+def scale_rows() -> int:
+    """Run SCALE_ROWS, printing the anchor build apart; returns the mismatches."""
+    build = critnum.oracle._anchor_representatives
+    anchor_s = 0.0
+
+    def timed(*args):
+        nonlocal anchor_s
+        start = time.perf_counter()
+        try:
+            return build(*args)
+        finally:
+            anchor_s += time.perf_counter() - start
+
+    critnum.oracle._anchor_representatives = timed
+    mismatches = 0
+    try:
+        for factors, tag in SCALE_ROWS:
+            group = GroupType(factors)
+            anchor_s = 0.0
+            start = time.perf_counter()
+            got, _ = search_critical_witness(OracleQuery(group, CriticalKind(tag, 2)), budget=group.order)
+            elapsed = time.perf_counter() - start
+            want = critical_number(group.order, 2)
+            mismatches += got != want
+            verdict = "ok" if got == want else "MISMATCH"
+            print(f"{str(group):<16} {tag:<16} 2  search {got:>4}  formula {want:>4}  "
+                  f"anchors {anchor_s * 1e3:8.2f} ms  total {elapsed:6.3f} s  {verdict}", flush=True)
+    finally:
+        critnum.oracle._anchor_representatives = build
+    return mismatches
+
+
 def main() -> int:
+    scale_mismatches = scale_rows()
     rows = [(GroupType(factors), s) for factors, s in STALL_ROWS]
     rows += [(g, 3) for g in abelian_types(48) if not g.is_elementary_two and (g, 3) not in rows]
     translate = critnum.oracle.translate_bits
@@ -75,7 +115,7 @@ def main() -> int:
               f"{calls:>9,} translations  {verdict}", flush=True)
     print(f"{len(rows)} queries, {mismatches} mismatches, {time.perf_counter() - total:.1f} s, "
           f"{all_calls:,} translations")
-    return 1 if mismatches else 0
+    return 1 if mismatches or scale_mismatches else 0
 
 
 if __name__ == "__main__":

@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -38,7 +40,7 @@ from critnum import (
     subset_sums,
 )
 from critnum.cli import main
-from critnum import oracle
+from critnum import oracle, sumsets
 from critnum.oracle import (
     _anchor_generators,
     _anchor_representatives,
@@ -208,19 +210,17 @@ def test_search_past_the_mask_cap_matches_scan(monkeypatch):
     for tag in ("chi_hat_h", "chi_hat_interval"):
         value, witness = search_critical_witness(OracleQuery(big, CriticalKind(tag, 2)), budget=128)
         assert value == critical_number(128, 2) and is_generating(witness)
+    # fresh Layouts, so no group reuses masks built under the real cap
     monkeypatch.setattr(oracle, "_MAX_MASKS", 0)
-    _maximal_subgroups.cache_clear()
-    try:
-        for n in range(2, 11):
-            for g in abelian_types(n):
-                assert _maximal_subgroups(g.factors) is None
-                for tag, param in itertools.product(("chi_hat_h", "chi_hat_interval"), (1, 2, 3)):
-                    q = OracleQuery(g, CriticalKind(tag, param))
-                    value, witness = search_critical_witness(q)
-                    assert value == brute_critical_witness(q)[0], q
-                    assert _witness_problems(q, value, witness) == [], q
-    finally:
-        _maximal_subgroups.cache_clear()
+    monkeypatch.setattr(sumsets, "_layouts", {})
+    for n in range(2, 11):
+        for g in abelian_types(n):
+            assert _maximal_subgroups(g.factors) is None
+            for tag, param in itertools.product(("chi_hat_h", "chi_hat_interval"), (1, 2, 3)):
+                q = OracleQuery(g, CriticalKind(tag, param))
+                value, witness = search_critical_witness(q)
+                assert value == brute_critical_witness(q)[0], q
+                assert _witness_problems(q, value, witness) == [], q
 
 
 def test_search_witness_recheck_fails_closed(monkeypatch):
@@ -286,9 +286,21 @@ def test_anchor_generators_are_automorphisms():
                     assert all(perm[step[x]] == back[image[perm[x]]] for x in range(n)), (g, perm)
 
 
+def _unit_scalings(group: GroupType) -> list[list[int]]:
+    """x -> x with x_i replaced by u*x_i, for each coordinate i and unit u of f_i."""
+    points = [group.decode(x) for x in range(group.order)]
+    return [
+        [group.encode(x[:i] + group.scalar(u, x)[i:i + 1] + x[i + 1:]) for x in points]
+        for i, f in enumerate(group.factors)
+        for u in range(2, f)
+        if math.gcd(u, f) == 1
+    ]
+
+
 def _orbit_labels(group: GroupType, fold: int) -> list[int]:
-    """Least index of each element's orbit, by a closure over the generators."""
-    perms = _anchor_generators(group.factors, fold)
+    """Least index of each element's orbit, by a closure over the generators
+    and the unit scalings of each coordinate."""
+    perms = [*_anchor_generators(group.factors, fold), *_unit_scalings(group)]
     label = [-1] * group.order
     for start in range(group.order):
         if label[start] < 0:
@@ -304,9 +316,10 @@ def _orbit_labels(group: GroupType, fold: int) -> list[int]:
 
 
 def test_anchors_coarsen_unit_multiple_orbits():
-    # The orbits the anchors used before, of g -> u*g + fold*t with u coprime
-    # to the exponent, computed as masks the way the old anchors were; none
-    # of them is split by the new generators.
+    # The anchors are the orbits of the generators and of the per-coordinate
+    # unit scalings, built here from GroupType.scalar.  No orbit of
+    # g -> u*g + fold*t with u coprime to the exponent, computed as masks,
+    # is split by them.
     for n in range(2, 33):
         for g in abelian_types(n):
             layout = layout_for(g)
@@ -378,13 +391,33 @@ SMALL_TYPES = [g for n in range(2, 33) for g in abelian_types(n)]
 
 @pytest.mark.parametrize("group", SMALL_TYPES, ids=str)
 def test_multiples_match_scalar_index(group):
-    # and the preimage masks {y : k*y = m} the search filters by
+    # and the preimages {y : k*y = m} the search filters by, each the
+    # kernel shifted by the least root; an m with no root gets n
     n = group.order
-    for k in list(range(6)) + [group.exponent - 1, group.exponent + 2]:
+    for k in list(range(6)) + [group.exponent - 1, group.exponent + 2, -1]:
         times = [scalar_index(group, k, x) for x in range(n)]
         assert _multiples(group.factors, k) == tuple(times), k
-        want = tuple(sum(1 << y for y, ky in enumerate(times) if ky == m) for m in range(n))
-        assert _preimages(group.factors, k) == want, k
+        kernel, least = _preimages(group.factors, k)
+        assert kernel == sum(1 << y for y, ky in enumerate(times) if ky == 0), k
+        for m in range(n):
+            roots = [y for y, ky in enumerate(times) if ky == m]
+            assert least[m] == min(roots, default=n), (k, m)
+            assert kernel << least[m] == sum(1 << y for y in roots) or not roots, (k, m)
+
+
+def test_anchor_and_preimage_tables_are_linear():
+    # Both tables hold a few ints per element.  One permutation per unit of
+    # Z4096 would take about 300 MB, all 110 transvections of Z2^11 held at
+    # once about 8 MB, and one mask per element of Z16384 about 13 MB.
+    cases = [(_anchor_representatives, ((4096,), 2)), (_anchor_representatives, ((2,) * 11, 0)), (_preimages, ((16384,), 2))]
+    for build, args in cases:
+        tracemalloc.start()
+        try:
+            build(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, (build.__name__, peak)
 
 
 @pytest.mark.parametrize("group", SMALL_TYPES, ids=str)
@@ -447,9 +480,10 @@ def _entry_filter(group: GroupType, param: int | None, cand: int, before: list[i
     """
     got = cand & ~layers[-1]
     for j in range(2, (param or 1) + 1):
+        kernel, least = _preimages(group.factors, j)
         fresh = layers[param - j] & ~before[param - j]
         for z in GroupSubset(group, fresh).indices():
-            got &= ~_preimages(group.factors, j)[z]
+            got &= ~(kernel << least[z])
     return got
 
 
@@ -682,6 +716,32 @@ def test_brute_sumfree():
         brute_max_sumfree(1)
     with pytest.raises(BudgetExceeded):
         brute_max_sumfree(25)
+
+
+def _depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_recursion_limit_is_refused_by_name():
+    # Both searches nest one call per element of their set.  With the limit
+    # 40 frames above the caller, sets of about 40 elements pass it: each
+    # search must refuse the query with BudgetExceeded, not a bare
+    # RecursionError, and work again once the limit is back.
+    chi = OracleQuery(cyclic(128), CriticalKind("chi_h", 2))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 40)
+    try:
+        with pytest.raises(BudgetExceeded, match="recursion limit"):
+            search_critical_witness(chi, budget=128)
+        with pytest.raises(BudgetExceeded, match="recursion limit"):
+            brute_max_sumfree(60, budget=60)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert search_critical_witness(chi, budget=128)[0] == critical_number(128, 2)
+    assert brute_max_sumfree(60, budget=60) == max_sumfree_size(60)
 
 
 def test_enumerate_subgroups_counts():

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -211,7 +212,8 @@ def test_layout_refuses_orders_above_the_limit():
 
 def test_layout_cache_is_bounded_by_the_orders_it_holds(monkeypatch):
     # the cache keeps Layouts while their orders sum to at most
-    # 4 * MAX_LAYOUT_ORDER, evicting the oldest first; a hit builds nothing
+    # 4 * MAX_LAYOUT_ORDER, evicting the oldest first; a hit builds nothing,
+    # and an evicted Layout takes the tables built on it with it
     monkeypatch.setattr(critnum.sumsets, "MAX_LAYOUT_ORDER", 16)
     monkeypatch.setattr(critnum.sumsets, "_layouts", {})
     builds = []
@@ -222,6 +224,12 @@ def test_layout_cache_is_bounded_by_the_orders_it_holds(monkeypatch):
 
     # looked up at call time, as the benchmark's tracer relies on
     monkeypatch.setattr(critnum.sumsets, "Layout", counted)
+
+    class Table:
+        def __init__(self, factors):
+            self.factors = factors
+
+    tables = {}  # factors -> weak reference to the table built on that Layout
     steps = [
         ((16,), [(16,)]),
         ((2, 8), [(16,), (2, 8)]),
@@ -240,6 +248,13 @@ def test_layout_cache_is_bounded_by_the_orders_it_holds(monkeypatch):
         assert [g.factors for g in held] == kept, factors
         assert sum(x.order for x in held.values()) <= 4 * 16
         assert layout_for(GroupType(factors)) is layout
+        table = layout.table(Table)
+        assert table.factors == factors and layout.table(Table) is table
+        if factors in tables and tables[factors]() is not None:
+            assert tables[factors]() is table  # a kept Layout builds its table once
+        tables[factors] = weakref.ref(table)
+        del table
+        assert sorted(f for f, ref in tables.items() if ref()) == sorted(kept), factors
     assert builds == [(16,), (2, 8), (4, 4), (2, 2, 4), (2, 2, 2, 2), (8,), (2,), (12,)]
     with pytest.raises(InvalidOrder):
         layout_for(cyclic(17))

@@ -141,12 +141,19 @@ GUARD_CASES = {
     "max_incomplete_divisors-h-True": (max_incomplete_divisors, (12, True), InvalidH),
     "divisor_bound-2.0": (divisor_bound, (12, 2.0, 2), InvalidDivisor),
     "divisor_bound-h-True": (divisor_bound, (12, 2, True), InvalidH),
+    # `divisors` would refuse these orders too, with its own message
+    **{
+        f"generating_interval_cyclic_divisors-{n!r}": (generating_interval_cyclic_divisors, (n, 2), InvalidOrder)
+        for n in (0, -3, True, 2.5)
+    },
 }
+# the guard's own message, where another guard below it would raise the same error
+GUARD_MESSAGES = {generating_interval_cyclic_divisors: "order must be an integer >= 1"}
 
 
 @pytest.mark.parametrize("fn, args, error", GUARD_CASES.values(), ids=GUARD_CASES.keys())
 def test_public_guards_on_the_certificate_path(fn, args, error):
-    with pytest.raises(error):
+    with pytest.raises(error, match=GUARD_MESSAGES.get(fn)):
         fn(*args)
     if fn is spec_for_quotient_type:
         assert quotient_type_feasible(*args) is False

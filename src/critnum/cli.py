@@ -373,8 +373,9 @@ def cmd_verify(args) -> int:
                     **{k: _cell(v) if v is None else v for k, v in row.items()}
                 )
             )
-        verdict = "all agree" if not mismatches else f"{len(mismatches)} mismatches"
-        sys.stdout.write(f"verified {len(rows)} rows: {verdict}\n")
+        count = f"{len(mismatches)} mismatches"
+        sys.stdout.write(f"incomplete: {len(rows)} rows verified, {count}\n" if aborted
+                         else f"verified {len(rows)} rows: {count if mismatches else 'all agree'}\n")
     if aborted:
         sys.stderr.write(f"BudgetExceeded: {aborted} (partial report above)\n")
         return 2

@@ -63,14 +63,7 @@ def is_prime(n: int) -> bool:
 def smallest_prime_factor(n: int) -> int:
     if not _is_int(n) or n < 2:
         raise InvalidOrder(f"no prime factor for {n!r}")
-    if n % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
+    return min(factorize(n))
 
 
 def _invariant_factors(entries: Sequence[int]) -> tuple[int, ...]:

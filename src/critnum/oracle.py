@@ -146,11 +146,13 @@ def _maximal_subgroups(factors: tuple[int, ...]) -> tuple[int, ...] | None:
 
 def _anchor_generators(factors: tuple[int, ...], fold: int) -> Iterator[list[int]]:
     """Index permutations whose orbits `_anchor_representatives` merges,
-    yielded one at a time.
+    yielded one at a time: at most 3r - 2 for rank r.
 
     Each adds m*x_i (or the constant fold) to one coordinate x_j:
-    - transvections e_i -> e_i + k*e_j for i != j, k = f_j / gcd(f_i, f_j),
-      so f_i*k*e_j = 0 and the map is an automorphism with inverse -k;
+    - transvections e_i -> e_i + k*e_j for j = i +- 1, k = f_j / gcd(f_i, f_j),
+      so f_i*k*e_j = 0 and the map is an automorphism with inverse -k.
+      Their commutators give every other transvection, as k_ij*k_jl = k_il
+      going up ((f_j/f_i)(f_l/f_j) = f_l/f_i) and every k is 1 going down;
     - when fold != 0, translations by fold*e_j.
     The unit scalings are merged by `_anchor_representatives` itself.
     """
@@ -161,10 +163,10 @@ def _anchor_generators(factors: tuple[int, ...], fold: int) -> Iterator[list[int
         return [x + ((c + a) % f - c) * s for x, (c, a) in enumerate(zip(column, amounts))]
 
     for i, (_, f, column) in enumerate(digits):
-        for j, (_, fj, _) in enumerate(digits):
-            if j != i:
-                k = fj // math.gcd(f, fj)
-                yield adding(j, [k * c for c in column])
+        for j in (i - 1, i + 1):
+            if 0 <= j < len(digits):
+                fj = digits[j][1]
+                yield adding(j, [fj // math.gcd(f, fj) * c for c in column])
         if fold:
             yield adding(i, itertools.repeat(fold))
 
@@ -210,19 +212,16 @@ def _expansion(layout, kind: CriticalKind, bits: int) -> int:
 def _preimages(factors: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]]:
     """The kernel mask K of y -> j*y and, per m, the least root of j*y = m or n.
 
-    The roots of j*y_i = m_i step by K's period p_i = f_i / gcd(j, f_i) from
-    one below p_i, so {y : j*y = m} = K << least[m] with no carry; K << n
-    drops nothing below n.
+    Both are read off the table of multiples.  The roots of j*y_i = m_i
+    step by K's period p_i = f_i / gcd(j, f_i) from one below p_i, so
+    {y : j*y = m} = K << least[m] with no carry; K << n drops nothing
+    below n.
     """
-    n = math.prod(factors)
-    kernel, least, stride = 1, [0], 1
-    for f in factors:
-        period = f // math.gcd(j, f)
-        roots = {j * y % f: y * stride for y in range(period)}
-        kernel = sum(kernel << c * stride for c in range(0, f, period))
-        least = [min(roots.get(c, n) + prev, n) for c in range(f) for prev in least]
-        stride *= f
-    return kernel, tuple(least)
+    multiples = _multiples(factors, j)
+    least = [len(multiples)] * len(multiples)
+    for y in reversed(range(len(multiples))):
+        least[multiples[y]] = y
+    return sum(1 << y for y, m in enumerate(multiples) if not m), tuple(least)
 
 
 def _greedy_matching(layout, neg, layer: int, cand: int, need: int) -> dict[int, int]:

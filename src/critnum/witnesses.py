@@ -2,12 +2,12 @@
 
 Two families are built here.  The h-fold witnesses realize the largest
 generating h-incomplete sets (showing the generating restriction does not
-change the h-fold critical number): a run or product-of-blocks set in the
-quotient whose index is the least divisor attaining the size bound, pulled
-back to the full group.  The interval witnesses are those sets translated
-to hold zero.  The interval bound witnesses realize the coset lower bound
-for the generating interval critical number: a small pattern in a
-quotient, pulled back to the full group.
+change the h-fold critical number): a union of blocks, one per coordinate,
+in the quotient whose index is the least divisor attaining the size bound,
+pulled back to the full group.  The interval witnesses are those sets
+translated to hold zero.  The interval bound witnesses realize the coset
+lower bound for the generating interval critical number: a small pattern
+in a quotient, pulled back to the full group.
 
 Constructors are fail-closed: every certificate, and the oracle search's
 witness, passes one check, `_verified`, which recomputes size,
@@ -130,31 +130,20 @@ def _hfold_witness_bits(group: GroupType, h: int) -> tuple[int, int, str]:
     The set is built in the quotient whose index d is the least divisor
     attaining the divisor bound (the group itself when d = n) and lifted as
     a full preimage.  One level is enough: a proper divisor of d attaining
-    the bound for order d would attain it for n.
+    the bound for order d would attain it for n.  The set is a union of
+    runs of flat indices, one per coordinate i: x_i in 1..(f_i - 2)//h + 1,
+    lower coordinates free, higher ones zero (for d not prime the divisibility
+    argument gives h | f_i - 1, so x_i runs over 1..(f_i - 1)/h).
     """
     size, maximizers = _divisor_max(group.order, h, 1)
     d = min(maximizers)
     spec = quotient_spec(group, d) if d < group.order else None
-    base = spec.quotient if spec else group
-    if is_prime(d):
-        top = (d - 2) // h + 1
-        bits, branch = ((1 << top) - 1) << 1, "prime"
-    else:
-        # The divisibility argument forces h | (fi - 1) for every invariant
-        # factor.  The set is a union of blocks: coordinate i in
-        # 1..(fi-1)/h, lower coordinates free, higher ones zero, which is
-        # one run of flat indices with the first coordinate fastest.
-        bits, stride = 0, 1
-        for f in base.factors:
-            if (f - 1) % h:
-                raise ConstructionInvariantViolated(
-                    f"factor {f} of {base} violates the divisibility h | (factor - 1) for h={h}"
-                )
-            bits |= ((1 << (f - 1) // h * stride) - 1) << stride
-            stride *= f
-        branch = "product"
+    bits, stride = 0, 1
+    for f in (spec.quotient if spec else group).factors:
+        bits |= ((1 << ((f - 2) // h + 1) * stride) - 1) << stride
+        stride *= f
     if spec is None:
-        return bits, size, branch
+        return bits, size, "prime" if is_prime(d) else "product"
     return _lift_bits(spec, bits), size, "quotient"
 
 
@@ -182,13 +171,8 @@ def interval_witness(group: GroupType, s: int) -> WitnessCertificate:
     _check_s(s)
     bits, size, _ = _hfold_witness_bits(group, s)
     layout = layout_for(group)
-    # the flat index of minus the lowest element, negated digit by digit
-    low, neg, stride = (bits & -bits).bit_length() - 1, 0, 1
-    for f in group.factors:
-        low, c = divmod(low, f)
-        neg += -c % f * stride
-        stride *= f
-    bits = translate_bits(layout, bits, neg)
+    low = (bits & -bits).bit_length() - 1
+    bits = translate_bits(layout, bits, group.encode(group.neg(group.decode(low))))
     expansion = interval_bits(layout, bits, s)
     generates = _verified(f"interval_witness(s={s})", layout, bits, size, expansion, generating=False)
     return WitnessCertificate(group, "interval", s, GroupSubset(group, bits), size, generates, True, "translate")

@@ -1,18 +1,21 @@
 """Opt-in timing of the exact search at its s = 3 frontier and at scale.
 
-First runs `chi_h` and `chi_hat_interval` at h = s = 2 on Z1024 and
-Z2xZ512, checked against critical_number(1024, 2), and prints each query's
-anchor-build time (`critnum.oracle._anchor_representatives`, wrapped as a
-module attribute) and total time.  Then runs `search_critical_witness` on
-the `chi_hat_interval` queries of the ROADMAP's stall table and on every
-non-exponent-2 type of order 48 at s = 3 (the orders past acceptance tier
-A14).  Each value is checked against its closed form: the exponent-2 rank
-formula for Z2^r, the s = 3 structure formula otherwise.  Prints value,
-time and the `translate_bits` calls the search makes through
-`critnum.oracle` per query and in total, and exits 1 on any mismatch.  The
-call count is a deterministic measure of the search's work; the script
-counts it by wrapping that module attribute.  pytest does not collect it
-(no `test_` prefix).  Run from the repository root:
+First times `critnum.oracle._anchor_representatives` alone on Z2^12,
+Z2^14 and Z3^8, whose automorphisms are transitive on the nonzero
+elements, so the anchors must be (0, 1).  Then runs `chi_h` and
+`chi_hat_interval` at h = s = 2 on Z1024 and Z2xZ512, checked against
+critical_number(1024, 2), and prints each query's anchor-build time (the
+same function, wrapped as a module attribute) and total time.  Then runs
+`search_critical_witness` on the `chi_hat_interval` queries of the
+ROADMAP's stall table and on every non-exponent-2 type of order 48 at
+s = 3 (the orders past acceptance tier A14).  Each value is checked
+against its closed form: the exponent-2 rank formula for Z2^r, the s = 3
+structure formula otherwise.  Prints value, time and the `translate_bits`
+calls the search makes through `critnum.oracle` per query and in total,
+and exits 1 on any mismatch.  The call count is a deterministic measure
+of the search's work; the script counts it by wrapping that module
+attribute.  pytest does not collect it (no `test_` prefix).  Run from the
+repository root:
 
     PYTHONPATH=src python tests/s3_frontier.py
 """
@@ -55,6 +58,23 @@ def expected(group: GroupType, s: int) -> int:
     return generating_interval_critical_s3(group)
 
 
+# elementary abelian groups, whose anchors are 0 and one nonzero orbit
+ANCHOR_ROWS = [(2,) * 12, (2,) * 14, (3,) * 8]
+
+
+def anchor_rows() -> int:
+    """Time the anchor build on ANCHOR_ROWS; returns the mismatches."""
+    mismatches = 0
+    for factors in ANCHOR_ROWS:
+        start = time.perf_counter()
+        got = critnum.oracle._anchor_representatives(factors, 0)
+        elapsed = time.perf_counter() - start
+        mismatches += got != (0, 1)
+        verdict = "ok" if got == (0, 1) else "MISMATCH"
+        print(f"{str(GroupType(factors)):<16} anchors {got}  {elapsed * 1e3:8.2f} ms  {verdict}", flush=True)
+    return mismatches
+
+
 def scale_rows() -> int:
     """Run SCALE_ROWS, printing the anchor build apart; returns the mismatches."""
     build = critnum.oracle._anchor_representatives
@@ -88,7 +108,7 @@ def scale_rows() -> int:
 
 
 def main() -> int:
-    scale_mismatches = scale_rows()
+    scale_mismatches = anchor_rows() + scale_rows()
     rows = [(GroupType(factors), s) for factors, s in STALL_ROWS]
     rows += [(g, 3) for g in abelian_types(48) if not g.is_elementary_two and (g, 3) not in rows]
     translate = critnum.oracle.translate_bits

@@ -197,6 +197,28 @@ def test_budget_refusal_and_ack(capsys):
     assert "all agree" in out
 
 
+def test_aborted_verify_claims_no_verdict(capsys, monkeypatch):
+    # rows checked before the refusal are counted, and no "all agree" is printed
+    code, out, err = run(capsys, "verify", "--quantity", "chi_h", "--orders", "15..17", "--h", "1")
+    assert code == 2 and "BudgetExceeded" in err
+    assert "all agree" not in out
+    assert out.splitlines()[-1] == "incomplete: 6 rows verified, 0 mismatches"
+
+    def broken(group, h):
+        raise ConstructionInvariantViolated("broken builder")
+
+    monkeypatch.setattr(cli, "hfold_witness", broken)
+    code, out, err = run(capsys, "verify", "--quantity", "chi_h", "--group", "8", "--group", "17", "--h", "2")
+    assert code == 2 and "BudgetExceeded" in err
+    lines = out.splitlines()
+    assert "MISMATCH group=8 quantity=chi_h param=2 formula=5 oracle=5 witness_ok=False" in lines
+    assert lines[-1] == "incomplete: 1 rows verified, 1 mismatches"
+    code, out, _ = run(capsys, "verify", "--quantity", "chi_h", "--group", "8", "--group", "17", "--h", "2",
+                       "--format", "json")
+    payload = json.loads(out)
+    assert code == 2 and payload["complete"] is False and payload["mismatches"] == 1
+
+
 def test_env_budget_cap(capsys, monkeypatch):
     monkeypatch.setenv("CRITNUM_MAX_N", "10")
     code, _, err = run(capsys, "verify", "--quantity", "chi_h", "--group", "12", "--h", "2")

@@ -41,6 +41,8 @@ def test_primality():
     assert smallest_prime_factor(2) == 2
     assert smallest_prime_factor(35) == 5
     assert smallest_prime_factor(49) == 7
+    for n in range(2, 5001):
+        assert smallest_prime_factor(n) == next(d for d in range(2, n + 1) if n % d == 0), n
 
 
 @pytest.mark.parametrize("bad", [True, 2.5, 7.0], ids=repr)

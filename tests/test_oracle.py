@@ -297,10 +297,28 @@ def _unit_scalings(group: GroupType) -> list[list[int]]:
     ]
 
 
+def _transvections(group: GroupType, fold: int) -> list[list[int]]:
+    """Every transvection x -> x + k*x_i*e_j, i != j, k = f_j / gcd(f_i, f_j),
+    and, when fold != 0, every translation by fold*e_j, from GroupType.add."""
+    points = [group.decode(x) for x in range(group.order)]
+    basis = [group.decode(e) for e in _basis(group)]
+    fs = group.factors
+    perms = [
+        [group.encode(group.add(x, group.scalar(fs[j] // math.gcd(fs[i], fs[j]) * x[i], basis[j]))) for x in points]
+        for i in range(group.rank)
+        for j in range(group.rank)
+        if i != j
+    ]
+    if fold:
+        perms += [[group.encode(group.add(x, group.scalar(fold, e))) for x in points] for e in basis]
+    return perms
+
+
 def _orbit_labels(group: GroupType, fold: int) -> list[int]:
-    """Least index of each element's orbit, by a closure over the generators
-    and the unit scalings of each coordinate."""
-    perms = [*_anchor_generators(group.factors, fold), *_unit_scalings(group)]
+    """Least index of each element's orbit, by a closure over every
+    transvection, the fold translations and the unit scalings of each
+    coordinate."""
+    perms = [*_transvections(group, fold), *_unit_scalings(group)]
     label = [-1] * group.order
     for start in range(group.order):
         if label[start] < 0:
@@ -315,12 +333,23 @@ def _orbit_labels(group: GroupType, fold: int) -> list[int]:
     return label
 
 
+def test_anchor_generators_are_adjacent():
+    # 2(r - 1) adjacent transvections and, for fold != 0, r translations:
+    # at most 3r - 2 maps, where all pairs would give r(r - 1) transvections
+    for factors in [(2,) * r for r in range(1, 8)] + [(3, 3, 3), (2, 4, 8), (2, 2, 6, 12)]:
+        r = len(factors)
+        for fold in (0, 2):
+            count = sum(1 for _ in _anchor_generators(factors, fold))
+            assert count == 2 * (r - 1) + (r if fold else 0) <= 3 * r - 2, (factors, fold)
+
+
 def test_anchors_coarsen_unit_multiple_orbits():
-    # The anchors are the orbits of the generators and of the per-coordinate
-    # unit scalings, built here from GroupType.scalar.  No orbit of
-    # g -> u*g + fold*t with u coprime to the exponent, computed as masks,
-    # is split by them.
-    for n in range(2, 33):
+    # The anchors, merged over the adjacent transvections only, are the
+    # orbits of all r(r - 1) transvections, the fold translations and the
+    # per-coordinate unit scalings, each built here from GroupType.  No
+    # orbit of g -> u*g + fold*t with u coprime to the exponent, computed
+    # as masks, is split by them.
+    for n in range(2, 65):
         for g in abelian_types(n):
             layout = layout_for(g)
             units = [u for u in range(1, g.exponent) if math.gcd(u, g.exponent) == 1]

@@ -131,22 +131,25 @@ def critical_number(n: int, h: int) -> int:
     return max_incomplete_size(n, h) + 1
 
 
-def subset_sum_uses_sqrt_branch(group: GroupType) -> bool:
-    """Whether the subset-sum pair takes the square-root form.
+def _subset_sum_branch(group: GroupType) -> tuple[bool, int]:
+    """Whether the subset-sum pair takes the square-root form, and p.
 
-    That happens only for cyclic groups whose order is prime, or a product
-    of two odd primes p <= q with q not much larger than p.
+    p is the least prime factor of the order.  The form holds only for a
+    cyclic group of order p, or pq with p <= q odd primes, q close to p.
     """
     n = group.order
     if n < 10:
         raise OutsideTheoremDomain(f"subset-sum critical numbers need order >= 10, got {n}")
-    if not group.is_cyclic:
-        return False
     p = smallest_prime_factor(n)
-    if n == p:
-        return True
+    if not group.is_cyclic:
+        return False, p
     q = n // p
-    return is_prime(q) and 3 <= p <= q <= p + math.isqrt(4 * (p - 2)) + 1
+    return (q == 1 or is_prime(q) and 3 <= p <= q <= p + math.isqrt(4 * (p - 2)) + 1), p
+
+
+def subset_sum_uses_sqrt_branch(group: GroupType) -> bool:
+    """Whether the subset-sum pair takes the square-root form."""
+    return _subset_sum_branch(group)[0]
 
 
 def subset_sum_critical_pair(group: GroupType) -> tuple[int, int]:
@@ -156,10 +159,8 @@ def subset_sum_critical_pair(group: GroupType) -> tuple[int, int]:
     The two values always differ by exactly one.
     """
     n = group.order
-    if subset_sum_uses_sqrt_branch(group):
-        star = math.isqrt(4 * (n - 2))
-    else:
-        star = n // smallest_prime_factor(n) + smallest_prime_factor(n) - 2
+    sqrt_form, p = _subset_sum_branch(group)
+    star = math.isqrt(4 * (n - 2)) if sqrt_form else n // p + p - 2
     return star, star + 1
 
 

@@ -115,8 +115,7 @@ def _lift_bits(spec: QuotientSpec, bits: int) -> int:
 
 def kernel_subset(spec: QuotientSpec) -> GroupSubset:
     """The kernel of the projection as a parent subset."""
-    zero = GroupSubset.from_indices(spec.quotient, [0])
-    return lift_preimage(spec, zero)
+    return GroupSubset(spec.parent, _lift_bits(spec, 1))
 
 
 def closure_bits(layout: Layout, bits: int) -> int:

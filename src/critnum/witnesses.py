@@ -3,11 +3,12 @@
 Two families are built here.  The h-fold witnesses realize the largest
 generating h-incomplete sets (showing the generating restriction does not
 change the h-fold critical number): a union of blocks, one per coordinate,
-in the quotient whose index is the least divisor attaining the size bound,
-pulled back to the full group.  The interval witnesses are those sets
-translated to hold zero.  The interval bound witnesses realize the coset
-lower bound for the generating interval critical number: a small pattern
-in a quotient, pulled back to the full group.
+in the quotient whose index is the least divisor attaining the size bound.
+The interval witnesses are those sets translated to hold zero: the same
+blocks with the first one moved down by one.  The interval bound witnesses
+realize the coset lower bound for the generating interval critical number:
+a small pattern in a quotient.  Each pattern is lifted to the full group
+once, by `quotients._lift_bits`.
 
 Constructors are fail-closed: every certificate, and the oracle search's
 witness, passes one check, `_verified`, which recomputes size,
@@ -35,11 +36,10 @@ from .quotients import (
     _lift_bits,
     _top_aligned_spec,
     closure_bits,
-    lift_preimage,
     quotient_spec,
     spec_for_quotient_type,
 )
-from .sumsets import GroupSubset, Layout, hfold_bits, interval_bits, layout_for, translate_bits
+from .sumsets import GroupSubset, Layout, hfold_bits, interval_bits, layout_for
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,8 @@ def _verified(builder: str, layout: Layout, bits: int, size: int, expansion: int
     return generates
 
 
-def _hfold_witness_bits(group: GroupType, h: int) -> tuple[int, int, str]:
-    """Mask, size and branch of a largest generating h-incomplete set.
+def _hfold_witness_bits(group: GroupType, h: int, first: int) -> tuple[int, int, str]:
+    """Mask, size and branch of a largest h-incomplete set.
 
     The set is built in the quotient whose index d is the least divisor
     attaining the divisor bound (the group itself when d = n) and lifted as
@@ -133,14 +133,16 @@ def _hfold_witness_bits(group: GroupType, h: int) -> tuple[int, int, str]:
     the bound for order d would attain it for n.  The set is a union of
     runs of flat indices, one per coordinate i: x_i in 1..(f_i - 2)//h + 1,
     lower coordinates free, higher ones zero (for d not prime the divisibility
-    argument gives h | f_i - 1, so x_i runs over 1..(f_i - 1)/h).
+    argument gives h | f_i - 1, so x_i runs over 1..(f_i - 1)/h).  The first
+    block starts at x_1 = `first`: 1 gives a generating set, 0 its translate
+    by -e_1, which moves only the first block as the others leave x_1 free.
     """
     size, maximizers = _divisor_max(group.order, h, 1)
     d = min(maximizers)
     spec = quotient_spec(group, d) if d < group.order else None
     bits, stride = 0, 1
     for f in (spec.quotient if spec else group).factors:
-        bits |= ((1 << ((f - 2) // h + 1) * stride) - 1) << stride
+        bits |= ((1 << ((f - 2) // h + 1) * stride) - 1) << (stride if bits else first)
         stride *= f
     if spec is None:
         return bits, size, "prime" if is_prime(d) else "product"
@@ -154,7 +156,7 @@ def hfold_witness(group: GroupType, h: int) -> WitnessCertificate:
     generates the group, and its h-fold sumset misses at least one element.
     """
     _check_h(h)
-    bits, size, branch = _hfold_witness_bits(group, h)
+    bits, size, branch = _hfold_witness_bits(group, h, 1)
     layout = layout_for(group)
     _verified(f"hfold_witness(h={h})", layout, bits, size, hfold_bits(layout, bits, h), generating=True)
     return WitnessCertificate(group, "hfold", h, GroupSubset(group, bits), size, True, True, branch)
@@ -163,16 +165,14 @@ def hfold_witness(group: GroupType, h: int) -> WitnessCertificate:
 def interval_witness(group: GroupType, s: int) -> WitnessCertificate:
     """A largest interval-incomplete subset (unrestricted variant).
 
-    Translating the set `hfold_witness` builds so that it contains zero
-    turns it into an interval witness of the same size: with 0 in the set,
-    the interval sumset collapses onto the top fold.  The certificate
+    It is the set `hfold_witness` builds, translated to hold zero (branch
+    "translate"), built with its first block starting at 0: with 0 in the
+    set, the interval sumset collapses onto the top fold.  The certificate
     checks its size and incompleteness and reports whether it generates.
     """
     _check_s(s)
-    bits, size, _ = _hfold_witness_bits(group, s)
+    bits, size, _ = _hfold_witness_bits(group, s, 0)
     layout = layout_for(group)
-    low = (bits & -bits).bit_length() - 1
-    bits = translate_bits(layout, bits, group.encode(group.neg(group.decode(low))))
     expansion = interval_bits(layout, bits, s)
     generates = _verified(f"interval_witness(s={s})", layout, bits, size, expansion, generating=False)
     return WitnessCertificate(group, "interval", s, GroupSubset(group, bits), size, generates, True, "translate")
@@ -217,13 +217,12 @@ def _bound_certificate(spec: QuotientSpec, cs: tuple[int, ...], s: int) -> Bound
     for c, d in zip(cs, ds):
         pattern |= sum(1 << y * stride for y in range(1, c + 1))
         stride *= d
-    witness = lift_preimage(spec, GroupSubset(spec.quotient, pattern))
+    bits = _lift_bits(spec, pattern)
     bound = (1 + sum(cs)) * (group.order // spec.index) + 1
     builder = f"interval_bound_witness(type={ds}, counts={cs}, s={s})"
     layout = layout_for(group)
-    bits = witness.bits
     _verified(builder, layout, bits, bound - 1, interval_bits(layout, bits, s), generating=True)
-    return BoundCertificate(group, s, ds, cs, bound, witness, True, True)
+    return BoundCertificate(group, s, ds, cs, bound, GroupSubset(group, bits), True, True)
 
 
 def _count_options(d: int) -> list[tuple[int, int]]:

@@ -101,20 +101,24 @@ def test_hfold_witness_grid_consistency():
                 assert not is_complete(hfold_sumset(cert.subset, h))
 
 
+LADDER = [GroupType(f) for f in ((4096,), (2, 2048), (2, 4096), (16384,))]
+
+
 def test_interval_witness_contains_zero():
     # the h-fold witness translated by minus its lowest element, computed
-    # here through the public GroupType API
-    for n in range(2, 65):
-        for g in abelian_types(n):
-            for s in range(1, 9):
-                cert = interval_witness(g, s)
-                assert cert.branch == "translate"
-                assert cert.subset.contains_index(0)
-                assert cert.claimed_size == max_incomplete_size(n, s)
-                assert not is_complete(interval_sumset(cert.subset, s))
-                hfold = hfold_witness(g, s).subset
-                low = g.decode(min(hfold.indices()))
-                assert cert.subset == hfold.translated(g.neg(low)), (g, s)
+    # here through the public GroupType API, a derivation independent of
+    # the builder's
+    for g in [t for n in range(2, 65) for t in abelian_types(n)] + LADDER:
+        n = g.order
+        for s in range(1, 9):
+            cert = interval_witness(g, s)
+            assert cert.branch == "translate"
+            assert cert.subset.contains_index(0)
+            assert cert.claimed_size == max_incomplete_size(n, s)
+            assert not is_complete(interval_sumset(cert.subset, s))
+            hfold = hfold_witness(g, s).subset
+            low = g.decode(min(hfold.indices()))
+            assert cert.subset == hfold.translated(g.neg(low)), (g, s)
 
 
 # Arguments of the wrong type or out of range, for each public function on
@@ -172,8 +176,8 @@ BAD_Z8_SETS = {
 def test_builders_fail_closed(monkeypatch, indices):
     g = cyclic(8)
     bad = GroupSubset.from_indices(g, indices)
-    monkeypatch.setattr(witnesses, "_hfold_witness_bits", lambda group, h: (bad.bits, 4, "quotient"))
-    monkeypatch.setattr(witnesses, "lift_preimage", lambda spec, subset: bad)
+    monkeypatch.setattr(witnesses, "_hfold_witness_bits", lambda group, h, first: (bad.bits, 4, "quotient"))
+    monkeypatch.setattr(witnesses, "_lift_bits", lambda spec, bits: bad.bits)
     with pytest.raises(ConstructionInvariantViolated, match="hfold_witness"):
         hfold_witness(g, 2)
     with pytest.raises(ConstructionInvariantViolated, match="interval_bound_witness"):

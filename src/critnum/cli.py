@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import heapq
+import itertools
 import json
 import operator
 import os
@@ -193,9 +195,11 @@ def _parse_span(text: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} value {text!r} is not an integer") from None
 
 
-def _gather_groups(args, quantity: str, command: str) -> tuple[list[GroupType], set[GroupType]]:
-    """Resolve --group/--order/--max-order into a sorted, deduplicated list,
-    returned with the set of the groups named by --group.
+def _gather_groups(args, quantity: str, command: str):
+    """Resolve --group/--order/--max-order into the selected groups, built
+    lazily in (order, factors) order without duplicates, with the set of the
+    groups named by --group, whether there is more than one, and the largest
+    order asked for.
 
     Swept groups (from order ranges) are filtered by the quantity's
     `applies`, and in `formula` by its `validated`; explicitly named groups
@@ -203,26 +207,28 @@ def _gather_groups(args, quantity: str, command: str) -> tuple[list[GroupType], 
     """
     q = QUANTITIES[quantity]
     explicit = [parse_group(text) for text in (args.group or [])]
-    orders: list[int] = []
-    if args.order:
-        orders.extend(_parse_span(args.order, "--order"))
-    if args.max_order is not None:
-        if args.max_order < 2:
-            raise InvalidOrder(f"--max-order must be at least 2, got {args.max_order}")
-        orders.extend(range(2, args.max_order + 1))
-    swept: list[GroupType] = []
-    for n in orders:
-        if command == "formula" and q.order_only:
-            swept.append(cyclic(n))
-        else:
-            swept.extend(g for g in abelian_types(n) if q.applies(g))
-    if command == "formula":
-        swept = [g for g in swept if q.validated(g)]
-    merged = {g.factors: g for g in explicit + swept}
-    groups = sorted(merged.values(), key=lambda g: (g.order, g.factors))
-    if not groups:
+    span = set(_parse_span(args.order, "--order")) if args.order else set()
+    if args.max_order is not None and args.max_order < 2:
+        raise InvalidOrder(f"--max-order must be at least 2, got {args.max_order}")
+    top = args.max_order or 0
+    named = sorted(g.order for g in explicit)
+
+    def produce():
+        for n, _ in itertools.groupby(heapq.merge(range(2, top + 1), sorted(span), named)):
+            merged = {g.factors: g for g in explicit if g.order == n}
+            if n <= top or n in span:
+                if command == "formula" and q.order_only:
+                    swept = [cyclic(n)]
+                else:
+                    swept = [g for g in abelian_types(n) if q.applies(g)]
+                merged.update((g.factors, g) for g in swept if command != "formula" or q.validated(g))
+            yield from sorted(merged.values(), key=lambda g: g.factors)
+
+    groups = produce()
+    head = list(itertools.islice(groups, 2))
+    if not head:
         raise UsageError("no groups selected; pass --group, --order, or --max-order")
-    return groups, set(explicit)
+    return itertools.chain(head, groups), set(explicit), len(head) > 1, max([top, *span, *named])
 
 
 def _resolve_params(args, quantity: str) -> list[int | None]:
@@ -240,10 +246,10 @@ def _resolve_params(args, quantity: str) -> list[int | None]:
     return _parse_span(given[flag], f"--{flag}")
 
 
-def _resolve_budget(groups: list[GroupType], ack: bool) -> int:
-    budget = DEFAULT_QUERY_BUDGET if len(groups) == 1 else DEFAULT_SWEEP_BUDGET
+def _resolve_budget(several: bool, largest: int, ack: bool) -> int:
+    budget = DEFAULT_SWEEP_BUDGET if several else DEFAULT_QUERY_BUDGET
     if ack:
-        budget = max(budget, max(g.order for g in groups))
+        budget = max(budget, largest)
     cap = os.environ.get("CRITNUM_MAX_N")
     if cap is not None:
         try:
@@ -330,7 +336,7 @@ def _emit_table(rows: list[dict], fmt: str, out, extra: dict | None = None) -> N
 
 def cmd_formula(args) -> int:
     quantity = args.quantity
-    groups, _ = _gather_groups(args, quantity, "formula")
+    groups, *_ = _gather_groups(args, quantity, "formula")
     params = _resolve_params(args, quantity)
     rows = []
     for group in groups:
@@ -344,15 +350,13 @@ def cmd_verify(args) -> int:
     if args.workers < 1:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
     quantity = args.quantity
-    groups, explicit = _gather_groups(args, quantity, "verify")
+    groups, explicit, several, largest = _gather_groups(args, quantity, "verify")
     params = _resolve_params(args, quantity)
-    budget = _resolve_budget(groups, args.budget_ack)
+    budget = _resolve_budget(several, largest, args.budget_ack)
     rows: list[dict] = []
     mismatches: list[dict] = []
     aborted: BudgetExceeded | None = None
     for group in groups:
-        if aborted:
-            break
         for param in params:
             try:
                 produced = _quantity_rows(quantity, group, param, budget, group not in explicit)
@@ -363,6 +367,8 @@ def cmd_verify(args) -> int:
                 rows.append(row)
                 if agree is False:
                     mismatches.append(row)
+        if aborted:
+            break
     extra = {"mismatches": len(mismatches), "complete": aborted is None}
     _emit_table(rows, args.format, sys.stdout, extra)
     if args.format == "text":

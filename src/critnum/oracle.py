@@ -4,16 +4,16 @@ Every critical number is 1 plus the size of the largest qualifying set
 (for the generating-restricted kinds, the largest generating set) whose
 expansion misses some element g.  `search_critical_witness` fixes g and
 runs a depth-first search over the candidate elements, in which the root
-is a node like any other; `brute_critical` returns its value.  As
-[0,s]A = [0,s](A | {0}), it searches the interval kinds only over sets
-holding 0.  Every node takes its own set as the best when it qualifies.
-Besides the size cut, the search cuts a branch by a greedy matching in
-the graph of candidate pairs that cannot join together, from which each
-pop drops only its own pair, and, for the generating kinds, when all it
-can still reach lies in one maximal subgroup; it tests generation
-against one mask per maximal subgroup (by closure for groups with more
-than `_MAX_MASKS`), and branches first on a candidate outside the masks
-that still contain the set, so that the generation cut fires early.
+is a node like any other; `brute_critical` returns its value.  For every
+kind but `chi_hat_h` and `cr_star` it searches only sets holding 0.
+Every node takes its own set as the best when it qualifies.  Besides the
+size cut, the search cuts a branch by a greedy matching in the graph of
+candidate pairs that cannot join together, from which each pop drops
+only its own pair, and, for the generating kinds, when all it can still
+reach lies in one maximal subgroup; it tests generation against one mask
+per maximal subgroup (by closure for groups with more than
+`_MAX_MASKS`), and branches first on a candidate outside the masks that
+still contain the set, so that the generation cut fires early.
 The search shares no logic with the closed forms.
 
 `brute_critical_witness` is the definition-literal scan and the ground
@@ -144,44 +144,35 @@ def _maximal_subgroups(factors: tuple[int, ...]) -> tuple[int, ...] | None:
     return tuple(masks)
 
 
-def _anchor_generators(factors: tuple[int, ...], fold: int) -> Iterator[list[int]]:
-    """Index permutations whose orbits `_anchor_representatives` merges,
-    yielded one at a time: at most 3r - 2 for rank r.
+def _anchor_generators(factors: tuple[int, ...]) -> Iterator[list[int]]:
+    """The 2(r - 1) adjacent transvections of rank r, as index permutations
+    whose orbits `_anchor_representatives` merges, yielded one at a time.
 
-    Each adds m*x_i (or the constant fold) to one coordinate x_j:
-    - transvections e_i -> e_i + k*e_j for j = i +- 1, k = f_j / gcd(f_i, f_j),
-      so f_i*k*e_j = 0 and the map is an automorphism with inverse -k.
-      Their commutators give every other transvection, as k_ij*k_jl = k_il
-      going up ((f_j/f_i)(f_l/f_j) = f_l/f_i) and every k is 1 going down;
-    - when fold != 0, translations by fold*e_j.
+    Each adds k*x_i to x_j for j = i +- 1, k = f_j / gcd(f_i, f_j), so
+    f_i*k*e_j = 0 and e_i -> e_i + k*e_j is an automorphism with inverse -k.
+    Their commutators give every other transvection, as k_ij*k_jl = k_il
+    going up ((f_j/f_i)(f_l/f_j) = f_l/f_i) and every k is 1 going down.
     The unit scalings are merged by `_anchor_representatives` itself.
     """
     digits = _digits(factors)
-
-    def adding(j: int, amounts) -> list[int]:
-        s, f, column = digits[j]
-        return [x + ((c + a) % f - c) * s for x, (c, a) in enumerate(zip(column, amounts))]
-
     for i, (_, f, column) in enumerate(digits):
         for j in (i - 1, i + 1):
             if 0 <= j < len(digits):
-                fj = digits[j][1]
-                yield adding(j, [fj // math.gcd(f, fj) * c for c in column])
-        if fold:
-            yield adding(i, itertools.repeat(fold))
+                s, fj, target = digits[j]
+                k = fj // math.gcd(f, fj)
+                yield [x + ((t + k * c) % fj - t) * s for x, (t, c) in enumerate(zip(target, column))]
 
 
-def _anchor_representatives(factors: tuple[int, ...], fold: int) -> tuple[int, ...]:
-    """The least index of every orbit of g -> sigma(g) + fold*t.
+def _anchor_representatives(factors: tuple[int, ...]) -> tuple[int, ...]:
+    """The least index of every orbit of g -> sigma(g); 0 is the first.
 
     sigma runs over the automorphisms generated by unit scalings x_i -> u*x_i
-    and `_anchor_generators`' transvections, t over the group; with fold = 0
-    zero is its own orbit and comes first.  Union-find merges the orbits over
-    the generators and, as c and gcd(c, f) are unit multiples mod f, over
+    and `_anchor_generators`' transvections.  Union-find merges the orbits
+    over the generators and, as c and gcd(c, f) are unit multiples mod f, over
     x_i -> gcd(x_i, f_i) for each f_i > 2.  Each map keeps what the search asks
     of an anchor: if A misses g in its expansion then sigma(A) misses sigma(g),
-    and for the h-fold sumset over the whole group A + t misses g + h*t.  Maps
-    short of all of Aut(G) leave more anchors, never another value.
+    and sigma(A) holds 0 or generates when A does.  Maps short of all of
+    Aut(G) leave more anchors, never another value.
     """
     root = list(range(math.prod(factors)))
     links = ([x + (math.gcd(c, f) % f - c) * s for x, c in enumerate(column)]
@@ -192,7 +183,7 @@ def _anchor_representatives(factors: tuple[int, ...], fold: int) -> tuple[int, .
             root[x] = x = root[root[x]]
         return x
 
-    for perm in itertools.chain(links, _anchor_generators(factors, fold)):
+    for perm in itertools.chain(links, _anchor_generators(factors)):
         for x, y in enumerate(perm):
             a, b = find(x), find(y)
             if a != b:
@@ -260,28 +251,31 @@ def search_critical_witness(
     """The critical value and a largest qualifying incomplete set, by search.
 
     Same value and conventions as `brute_critical_witness` (value 1 and no
-    witness when no set qualifies; the empty set is a witness for the
-    subset-sum kinds), but the witness may be a different extremal set; for
-    the interval kinds it holds 0.
+    witness when no set qualifies; the empty set is a witness for
+    `cr_star`), but the witness may be a different extremal set; for
+    every kind but `chi_hat_h` and `cr_star` it holds 0.
 
     For each anchor g, one per orbit of `_anchor_representatives` (the
     automorphisms generated by per-coordinate unit scalings and
-    transvections, plus translations by param*t for the whole-group h-fold
-    kind), a depth-first search adds pool elements one at a time to a root
-    set and keeps the layers D[k] = g - [0,k]A (interval kinds) or g - kA
-    (h-fold kinds) for k < param, where the new set's layers are
-    D'[0] = {g} and D'[k] = D[k] | (D'[k-1] - x).  Since
-    [0,s]A = [0,s](A | {0}), the interval kinds start from the set {0},
-    whose layers are all {g}, and never branch on 0; the other kinds start
-    from the empty set.  The expansion of A + {y} reaches g exactly when
-    j*y lies in D[param - j] for some 1 <= j <= param, so each node, the
-    root included, filters the candidates its parent left against its
-    layers on entry; a filtered candidate never returns, because the layers
-    only grow.  For the same reason a node tests only what is new to its
-    layers since its parent's (all empty above the root): j = 1 is one mask
-    operation, and for 2 <= j <= param each element m new to D[param - j]
-    drops its preimages {y : j*y = m}, a shifted kernel (`_preimages`).
-    For subset sums the single layer is D = g - Sum(A) with D' = D | (D - x).
+    transvections), a depth-first search adds pool elements one at a time to
+    a root set and keeps the layers D[k] = g - [0,k]A (interval kinds) or
+    g - kA (h-fold kinds) for k < param, where the new set's layers are
+    D'[0] = {g} and D'[k] = D[k] | (D'[k-1] - x).  Holding 0 keeps a largest
+    set, as [0,s]A = [0,s](A | {0}), Sum(A | {0}) = Sum(A), and hA misses g
+    exactly when h(A - a) misses g - h*a for a in A.  So every kind but two
+    starts from {0}, whose layers are all {g}, never branches on 0 and drops
+    the anchor 0, which its expansions all hold.  `chi_hat_h` (0 can change
+    hA, and a translate need not generate) and `cr_star` (0 lies outside its
+    domain) start from the empty set; `cr_star` drops the anchor 0, which
+    every Sum(A) holds.  The expansion of A + {y} reaches g exactly when j*y
+    lies in D[param - j] for some 1 <= j <= param, so each node, the root
+    included, filters the candidates its parent left against its layers on
+    entry; a filtered candidate never returns, because the layers only grow.
+    For the same reason a node tests only what is new to its layers since
+    its parent's (all empty above the root): j = 1 is one mask operation,
+    and for 2 <= j <= param each element m new to D[param - j] drops its
+    preimages {y : j*y = m}, a shifted kernel (`_preimages`).  For subset
+    sums the single layer is D = g - Sum(A) with D' = D | (D - x).
 
     A node branches on its lowest candidate, except that for the generating
     kinds it takes, among the masks that still contain its set, the one
@@ -322,12 +316,12 @@ def search_critical_witness(
     param = kind.param
     deeper = range(1, param or 1)  # the layers past D[0]; subset sums have none
     restrict = kind.restricts_to_generating
-    # [0,s]A = [0,s](A | {0}), so the interval kinds search only sets holding 0
-    held = 1 if mode == "interval" else 0
-    pool = full ^ 1 if kind.excludes_zero or held else full
-    anchors = layout.table(_anchor_representatives, param if kind.tag == "chi_h" else 0)
-    if mode != "hfold":
-        anchors = anchors[1:]  # drop 0, which lies in every [0,s]A and Sum(A)
+    # h terms of a generating set: 0 can change hA, and a translate need not generate
+    free = restrict and mode == "hfold"
+    held = 0 if free or kind.excludes_zero else 1
+    pool = full if free else full ^ 1
+    # 0 lies in Sum(A) and in every expansion of a set holding 0
+    anchors = layout.table(_anchor_representatives)[0 if free else 1:]
     # Candidate y is dropped when j*y lands in layer param - j; the layer
     # D[0] = {g} that j = param reads is new only at the root.
     middle = [(param - j, *layout.table(_preimages, j)) for j in range(2, param + 1)] if param else []
@@ -390,8 +384,8 @@ def search_critical_witness(
     try:
         for g in anchors:
             anchor = 1 << g
-            # g - [0,k]{0} = g - Sum{} = {g} for every k; g - k{} is empty for k >= 1
-            layers = [anchor] + [anchor if mode == "interval" else 0] * len(deeper)
+            # g - k{0} = g - [0,k]{0} = {g} for every k; g - k{} is empty for k >= 1
+            layers = [anchor] + [anchor if held else 0] * len(deeper)
             descend(held, pool, [0] * len(layers), layers, list(maxes or ()))
     except RecursionError:
         raise BudgetExceeded(f"the {kind.tag} search on {group} nests one call per set element "

@@ -23,7 +23,8 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import EmptySetError, InvalidElement, InvalidH, InvalidOrder, InvalidS, SpecMismatch
+from .errors import EmptySetError, InvalidElement, InvalidOrder, InvalidS, SpecMismatch
+from .formulas import _check_h
 from .groups import GroupType, _is_int, factorize
 
 # The largest order a Layout is built for.  It fits Z65536 (acceptance
@@ -349,8 +350,7 @@ def pairwise_sumset(a: GroupSubset, b: GroupSubset) -> GroupSubset:
 
 def hfold_sumset(a: GroupSubset, h: int) -> GroupSubset:
     """The h-fold sumset hA: all sums of exactly h elements of A (h >= 1)."""
-    if not _is_int(h) or h < 1:
-        raise InvalidH(f"fold count must be an integer >= 1, got {h!r}")
+    _check_h(h)
     if a.bits == 0:
         raise EmptySetError("h-fold sumset of the empty set is undefined")
     return GroupSubset(a.group, hfold_bits(layout_for(a.group), a.bits, h))

@@ -14,12 +14,23 @@ structure formula otherwise.  Prints value, time and the `translate_bits`
 calls the search makes through `critnum.oracle` per query and in total,
 and exits 1 on any mismatch.  The call count is a deterministic measure
 of the search's work; the script counts it by wrapping that module
-attribute.  pytest does not collect it (no `test_` prefix).  Run from the
-repository root:
+attribute.
+
+With --kind K [--param P] --seconds T it instead sweeps the frontier: it
+certifies every type of every order with `search_critical_witness`,
+upward from order 2, and prints per order the time, the `translate_bits`
+calls and the slowest type.  It stops once the cumulative time passes T
+(an interval timer ends the search under way) and prints F, the last
+order it finished.  pytest does not collect the script (no `test_`
+prefix).  Run from the repository root:
 
     PYTHONPATH=src python tests/s3_frontier.py
+    PYTHONPATH=src python tests/s3_frontier.py --kind chi_h --param 3 --seconds 60
 """
 
+import argparse
+import itertools
+import signal
 import sys
 import time
 
@@ -67,7 +78,7 @@ def anchor_rows() -> int:
     mismatches = 0
     for factors in ANCHOR_ROWS:
         start = time.perf_counter()
-        got = critnum.oracle._anchor_representatives(factors, 0)
+        got = critnum.oracle._anchor_representatives(factors)
         elapsed = time.perf_counter() - start
         mismatches += got != (0, 1)
         verdict = "ok" if got == (0, 1) else "MISMATCH"
@@ -107,7 +118,62 @@ def scale_rows() -> int:
     return mismatches
 
 
+class TimeUp(Exception):
+    """Raised by the interval timer when the sweep's time runs out."""
+
+
+def frontier(tag: str, param: int | None, seconds: float) -> int:
+    """Sweep every type of every order upward until `seconds` pass; prints F."""
+    kind = CriticalKind(tag, param)
+    translate = critnum.oracle.translate_bits
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return translate(*args)
+
+    def time_up(signum, frame):
+        raise TimeUp
+
+    critnum.oracle.translate_bits = counted
+    signal.signal(signal.SIGALRM, time_up)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    finished = 1
+    all_calls = 0
+    start = time.perf_counter()
+    print(f"frontier of {tag} (param {param}) within {seconds:g} s", flush=True)
+    try:
+        for n in itertools.count(2):
+            calls = 0
+            order_start = time.perf_counter()
+            slowest = (0.0, None)
+            for group in abelian_types(n):
+                query_start = time.perf_counter()
+                search_critical_witness(OracleQuery(group, kind), budget=n)
+                slowest = max(slowest, (time.perf_counter() - query_start, str(group)))
+            finished = n
+            all_calls += calls
+            now = time.perf_counter()
+            print(f"order {n:>4}  {now - order_start:8.3f} s  cumulative {now - start:8.3f} s  "
+                  f"{calls:>12,} translations  slowest {slowest[1]} ({slowest[0]:.3f} s)", flush=True)
+    except TimeUp:
+        pass
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        critnum.oracle.translate_bits = translate
+    print(f"F({tag}, {param}, {seconds:g} s) = {finished}: {all_calls:,} translations through order {finished}")
+    return 0
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--kind", help="sweep the frontier of this kind instead of the fixed rows")
+    parser.add_argument("--param", type=int, help="the kind's fold count or interval length")
+    parser.add_argument("--seconds", type=float, default=60.0, help="the sweep's time (default 60)")
+    args = parser.parse_args()
+    if args.kind:
+        return frontier(args.kind, args.param, args.seconds)
     scale_mismatches = anchor_rows() + scale_rows()
     rows = [(GroupType(factors), s) for factors, s in STALL_ROWS]
     rows += [(g, 3) for g in abelian_types(48) if not g.is_elementary_two and (g, 3) not in rows]

@@ -396,16 +396,22 @@ def test_a14_search_past_the_unit_multiple_anchors():
 def test_a15_search_at_h_s_2_to_order_48():
     # Past A12's orders: at h = s = 2 the conflict-graph matching bound
     # proves the optimum at the root, so every type of order 25-48 is cheap.
+    # chi_h at h = 3-5 and cr, which search only sets holding 0, are cheap
+    # there too (cr and cr_star to order 40).
     start = time.monotonic()
     failures = []
     cases = 0
     for n in range(25, 49):
-        want = critical_number(n, 2)
         for g in abelian_types(n):
-            for tag in ("chi_h", "chi_interval", "chi_hat_h"):
-                got = search_critical_witness(OracleQuery(g, CriticalKind(tag, 2)), budget=n)[0]
+            queries = [(CriticalKind(tag, 2), critical_number(n, 2)) for tag in ("chi_h", "chi_interval", "chi_hat_h")]
+            queries += [(CriticalKind("chi_h", h), critical_number(n, h)) for h in range(3, 6)]
+            if n <= 40:
+                queries += zip((CriticalKind("cr_star"), CriticalKind("cr")), subset_sum_critical_pair(g))
+            for kind, want in queries:
+                got = search_critical_witness(OracleQuery(g, kind), budget=n)[0]
                 cases += 1
                 if got != want:
-                    failures.append(f"{tag}({g}, 2): search {got} vs formula {want}")
+                    failures.append(f"{kind.tag}({g}, {kind.param}): search {got} vs formula {want}")
     elapsed = time.monotonic() - start
-    _finish("A15", f"search vs critical_number(n, 2) at orders 25-48 on {cases} cases in {elapsed:.2f}s", failures)
+    scope = "search vs critical_number and subset_sum_critical_pair at orders 25-48"
+    _finish("A15", f"{scope} on {cases} cases in {elapsed:.2f}s", failures)

@@ -219,6 +219,26 @@ def test_aborted_verify_claims_no_verdict(capsys, monkeypatch):
     assert code == 2 and payload["complete"] is False and payload["mismatches"] == 1
 
 
+def test_budget_refusal_builds_no_later_order(capsys, monkeypatch):
+    # the sweep stops at the first group the budget refuses (order 17), so
+    # a far larger --max-order builds nothing past it and prints the same
+    built = []
+
+    def counted(n):
+        built.append(n)
+        return types(n)
+
+    types = cli.abelian_types
+    monkeypatch.setattr(cli, "abelian_types", counted)
+    argv = ["verify", "--quantity", "chi_h", "--h", "2", "--max-order"]
+    want = run(capsys, *argv, "17")
+    assert want[0] == 2 and "BudgetExceeded" in want[2]
+    assert want[1].splitlines()[-1] == "incomplete: 24 rows verified, 0 mismatches"
+    built.clear()
+    assert run(capsys, *argv, "10000") == want
+    assert max(built) == 17
+
+
 def test_env_budget_cap(capsys, monkeypatch):
     monkeypatch.setenv("CRITNUM_MAX_N", "10")
     code, _, err = run(capsys, "verify", "--quantity", "chi_h", "--group", "12", "--h", "2")

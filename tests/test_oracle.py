@@ -50,7 +50,7 @@ from critnum.oracle import (
     _preimages,
 )
 from critnum.quotients import closure_bits
-from critnum.sumsets import _multiples, layout_for, translate_bits
+from critnum.sumsets import _multiples, layout_for
 from critnum.witnesses import _verified
 from reference import add_indices, brute_quotient_types, enumerate_subgroups, neg_index, scalar_index
 
@@ -99,8 +99,8 @@ def _witness_problems(query: OracleQuery, value: int, witness) -> list[str]:
         problems.append("witness does not generate")
     if query.kind.excludes_zero and witness.contains_index(0):
         problems.append("witness contains zero")
-    if mode == "interval" and not witness.contains_index(0):
-        problems.append("interval witness lacks zero")
+    if query.kind.tag not in ("chi_hat_h", "cr_star") and not witness.contains_index(0):
+        problems.append("witness lacks zero")
     return problems
 
 
@@ -252,21 +252,13 @@ def _basis(group: GroupType) -> list[int]:
     return [group.encode([int(i == k) for i in range(group.rank)]) for k in range(group.rank)]
 
 
-def _fold_coset(group: GroupType, fold: int) -> set[int]:
-    """Indices of fold*t for every t: the translations the h-fold anchors allow."""
-    return {group.encode(group.scalar(fold, group.decode(t))) for t in range(group.order)}
-
-
 def test_anchor_generators_are_automorphisms():
-    # A bijection p with p(x + e_k) = p(x) + p(e_k) - p(0) for every x and
-    # basis element e_k is x -> sigma(x) + p(0) with sigma an automorphism
-    # (by induction over the e_k).  fold = 2 adds the translations by 2*e_j
-    # to the automorphisms of fold = 0.  Sums are composed from the tables
-    # x -> x + e_k, each built with `add_indices`.
+    # A bijection p with p(0) = 0 and p(x + e_k) = p(x) + p(e_k) for every
+    # x and basis element e_k is an automorphism (by induction over the
+    # e_k).  Sums are composed from the tables x -> x + e_k, each built with
+    # `add_indices`.
     for n in range(2, 65):
         for g in abelian_types(n):
-            assert all(perm[0] == 0 for perm in _anchor_generators(g.factors, 0))
-            shifts = _fold_coset(g, 2)
             basis = _basis(g)
             steps = [[add_indices(g, x, e) for x in range(n)] for e in basis]
 
@@ -277,13 +269,12 @@ def test_anchor_generators_are_automorphisms():
                         table = [step[x] for x in table]
                 return table
 
-            for perm in _anchor_generators(g.factors, 2):
+            for perm in _anchor_generators(g.factors):
                 assert sorted(perm) == list(range(n)), g
-                assert perm[0] in shifts, g
-                back = plus(neg_index(g, perm[0]))
+                assert perm[0] == 0, g
                 for e, step in zip(basis, steps):
                     image = plus(perm[e])
-                    assert all(perm[step[x]] == back[image[perm[x]]] for x in range(n)), (g, perm)
+                    assert all(perm[step[x]] == image[perm[x]] for x in range(n)), (g, perm)
 
 
 def _unit_scalings(group: GroupType) -> list[list[int]]:
@@ -297,28 +288,24 @@ def _unit_scalings(group: GroupType) -> list[list[int]]:
     ]
 
 
-def _transvections(group: GroupType, fold: int) -> list[list[int]]:
+def _transvections(group: GroupType) -> list[list[int]]:
     """Every transvection x -> x + k*x_i*e_j, i != j, k = f_j / gcd(f_i, f_j),
-    and, when fold != 0, every translation by fold*e_j, from GroupType.add."""
+    from GroupType.add."""
     points = [group.decode(x) for x in range(group.order)]
     basis = [group.decode(e) for e in _basis(group)]
     fs = group.factors
-    perms = [
+    return [
         [group.encode(group.add(x, group.scalar(fs[j] // math.gcd(fs[i], fs[j]) * x[i], basis[j]))) for x in points]
         for i in range(group.rank)
         for j in range(group.rank)
         if i != j
     ]
-    if fold:
-        perms += [[group.encode(group.add(x, group.scalar(fold, e))) for x in points] for e in basis]
-    return perms
 
 
-def _orbit_labels(group: GroupType, fold: int) -> list[int]:
+def _orbit_labels(group: GroupType) -> list[int]:
     """Least index of each element's orbit, by a closure over every
-    transvection, the fold translations and the unit scalings of each
-    coordinate."""
-    perms = [*_transvections(group, fold), *_unit_scalings(group)]
+    transvection and the unit scalings of each coordinate."""
+    perms = [*_transvections(group), *_unit_scalings(group)]
     label = [-1] * group.order
     for start in range(group.order):
         if label[start] < 0:
@@ -334,35 +321,24 @@ def _orbit_labels(group: GroupType, fold: int) -> list[int]:
 
 
 def test_anchor_generators_are_adjacent():
-    # 2(r - 1) adjacent transvections and, for fold != 0, r translations:
-    # at most 3r - 2 maps, where all pairs would give r(r - 1) transvections
+    # 2(r - 1) adjacent transvections, where all pairs would give r(r - 1)
     for factors in [(2,) * r for r in range(1, 8)] + [(3, 3, 3), (2, 4, 8), (2, 2, 6, 12)]:
         r = len(factors)
-        for fold in (0, 2):
-            count = sum(1 for _ in _anchor_generators(factors, fold))
-            assert count == 2 * (r - 1) + (r if fold else 0) <= 3 * r - 2, (factors, fold)
+        assert sum(1 for _ in _anchor_generators(factors)) == 2 * (r - 1), factors
 
 
 def test_anchors_coarsen_unit_multiple_orbits():
     # The anchors, merged over the adjacent transvections only, are the
-    # orbits of all r(r - 1) transvections, the fold translations and the
-    # per-coordinate unit scalings, each built here from GroupType.  No
-    # orbit of g -> u*g + fold*t with u coprime to the exponent, computed
-    # as masks, is split by them.
+    # orbits of all r(r - 1) transvections and the per-coordinate unit
+    # scalings, each built here from GroupType.  No orbit of g -> u*g with
+    # u coprime to the exponent is split by them.
     for n in range(2, 65):
         for g in abelian_types(n):
-            layout = layout_for(g)
             units = [u for u in range(1, g.exponent) if math.gcd(u, g.exponent) == 1]
-            multiples = [[g.encode(g.scalar(u, g.decode(x))) for u in units] for x in range(n)]
-            for fold in (0, 2, 3):
-                label = _orbit_labels(g, fold)
-                assert _anchor_representatives(g.factors, fold) == tuple(sorted(set(label))), (g, fold)
-                shifts = sum(1 << t for t in _fold_coset(g, fold))
-                for x in range(n):
-                    old_orbit = 0
-                    for ux in multiples[x]:
-                        old_orbit |= translate_bits(layout, shifts, ux)
-                    assert {label[y] for y in GroupSubset(g, old_orbit).indices()} == {label[x]}, (g, fold, x)
+            label = _orbit_labels(g)
+            assert _anchor_representatives(g.factors) == tuple(sorted(set(label))), g
+            for x in range(n):
+                assert {label[g.encode(g.scalar(u, g.decode(x)))] for u in units} == {label[x]}, (g, x)
 
 
 def _automorphisms(group: GroupType) -> list[list[int]]:
@@ -395,11 +371,8 @@ def test_anchors_are_automorphism_orbits():
             if g.factors == (2, 2, 2, 2):
                 continue
             autos = _automorphisms(g)
-            orbits = {frozenset(a[x] for a in autos) for x in range(n)}
-            for fold in (0, 2, 3):
-                shifts = _fold_coset(g, fold)
-                least = {min(add_indices(g, y, t) for y in orbit for t in shifts) for orbit in orbits}
-                assert _anchor_representatives(g.factors, fold) == tuple(sorted(least)), (g, fold)
+            least = {min(a[x] for a in autos) for x in range(n)}
+            assert _anchor_representatives(g.factors) == tuple(sorted(least)), g
             checked += 1
     assert checked == 23
 
@@ -408,11 +381,7 @@ def test_anchor_counts():
     counts = {
         (2, 2, 2, 2): 2, (2, 2, 2, 2, 2): 2, (2, 2, 4): 4, (4, 4): 3, (2, 8): 6, (2, 2, 2, 6): 4, (2, 2, 12): 8,
     }
-    assert {f: len(_anchor_representatives(f, 0)) for f in counts} == counts
-    # the whole-group h-fold anchors also merge cosets of fold*G
-    assert _anchor_representatives((2, 8), 2) == (0, 1, 2)
-    assert _anchor_representatives((2, 2, 2, 2), 2) == (0, 1)
-    assert _anchor_representatives((6, 6), 3) == (0, 1)
+    assert {f: len(_anchor_representatives(f)) for f in counts} == counts
 
 
 SMALL_TYPES = [g for n in range(2, 33) for g in abelian_types(n)]
@@ -438,7 +407,7 @@ def test_anchor_and_preimage_tables_are_linear():
     # Both tables hold a few ints per element.  One permutation per unit of
     # Z4096 would take about 300 MB, all 110 transvections of Z2^11 held at
     # once about 8 MB, and one mask per element of Z16384 about 13 MB.
-    cases = [(_anchor_representatives, ((4096,), 2)), (_anchor_representatives, ((2,) * 11, 0)), (_preimages, ((16384,), 2))]
+    cases = [(_anchor_representatives, ((4096,),)), (_anchor_representatives, ((2,) * 11,)), (_preimages, ((16384,), 2))]
     for build, args in cases:
         tracemalloc.start()
         try:
@@ -518,14 +487,14 @@ def _entry_filter(group: GroupType, param: int | None, cand: int, before: list[i
 
 @pytest.mark.parametrize("group", SMALL_TYPES, ids=str)
 def test_singleton_hits_match_kernel_expansion(group):
-    # Root states: A = {} ({0} for the interval kinds, which hold it) with
-    # the parent layers all empty, every kind at param 1..4 and every g that
-    # A misses.  The filter must drop exactly the singletons y that hit g,
-    # those for which the kernel expansion of A | {y} reaches g.
+    # Root states: A = {0} ({} for chi_hat_h and cr_star, which do not hold
+    # it) with the parent layers all empty, every kind at param 1..4 and
+    # every g that A misses.  The filter must drop exactly the singletons y
+    # that hit g, those for which the kernel expansion of A | {y} reaches g.
     layout = layout_for(group)
     kinds = [CriticalKind(tag, p) for tag in KIND_TAGS if tag not in ("cr", "cr_star") for p in range(1, 5)]
     for kind in kinds + [CriticalKind("cr"), CriticalKind("cr_star")]:
-        bits = 1 if kind.mode == "interval" else 0
+        bits = 0 if kind.tag in ("chi_hat_h", "cr_star") else 1
         pool = layout.full & ~bits & ~(1 if kind.excludes_zero else 0)
         reach = {y: _expansion(layout, kind, bits | 1 << y) for y in GroupSubset(group, pool).indices()}
         targets = GroupSubset(group, layout.full & ~_expansion(layout, kind, bits)).indices()

@@ -26,8 +26,7 @@ import json
 import operator
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 from .errors import BudgetExceeded, CritnumError, InvalidOrder, WrongGroupClass
 from .formulas import (
@@ -135,8 +134,12 @@ def _everywhere(group: GroupType) -> bool:
 SUMFREE = "sumfree"
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(
+    namedtuple(
+        "Quantity", "param order_only rows oracle applies validated agrees",
+        defaults=(_everywhere, _everywhere, operator.eq),
+    )
+):
     """What the CLI knows about one quantity.
 
     param      the flag that carries its parameter: "h", "s" or None
@@ -151,13 +154,7 @@ class Quantity:
     agrees     the relation (oracle, formula) that counts as agreement
     """
 
-    param: str | None
-    order_only: bool
-    rows: Callable
-    oracle: str | None
-    applies: Callable[[GroupType], bool] = _everywhere
-    validated: Callable[[GroupType], bool] = _everywhere
-    agrees: Callable[[int, int], bool] = operator.eq
+    __slots__ = ()
 
 
 QUANTITIES = {
@@ -178,8 +175,8 @@ QUANTITIES = {
 }
 
 
-def _parse_span(text: str, flag: str) -> list[int]:
-    """Parse "N" or "lo..hi" into a list of integers."""
+def _parse_span(text: str, flag: str) -> range:
+    """Parse "N" or "lo..hi" into a range of integers."""
     if ".." in text:
         lo_s, _, hi_s = text.partition("..")
         try:
@@ -188,11 +185,12 @@ def _parse_span(text: str, flag: str) -> list[int]:
             raise UsageError(f"{flag} range {text!r} is not of the form lo..hi") from None
         if lo > hi:
             raise UsageError(f"{flag} range {text!r} is empty")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     try:
-        return [int(text)]
+        n = int(text)
     except ValueError:
         raise UsageError(f"{flag} value {text!r} is not an integer") from None
+    return range(n, n + 1)
 
 
 def _gather_groups(args, quantity: str, command: str):
@@ -207,14 +205,14 @@ def _gather_groups(args, quantity: str, command: str):
     """
     q = QUANTITIES[quantity]
     explicit = [parse_group(text) for text in (args.group or [])]
-    span = set(_parse_span(args.order, "--order")) if args.order else set()
+    span = _parse_span(args.order, "--order") if args.order else range(0)
     if args.max_order is not None and args.max_order < 2:
         raise InvalidOrder(f"--max-order must be at least 2, got {args.max_order}")
     top = args.max_order or 0
     named = sorted(g.order for g in explicit)
 
     def produce():
-        for n, _ in itertools.groupby(heapq.merge(range(2, top + 1), sorted(span), named)):
+        for n, _ in itertools.groupby(heapq.merge(range(2, top + 1), span, named)):
             merged = {g.factors: g for g in explicit if g.order == n}
             if n <= top or n in span:
                 if command == "formula" and q.order_only:
@@ -228,10 +226,10 @@ def _gather_groups(args, quantity: str, command: str):
     head = list(itertools.islice(groups, 2))
     if not head:
         raise UsageError("no groups selected; pass --group, --order, or --max-order")
-    return itertools.chain(head, groups), set(explicit), len(head) > 1, max([top, *span, *named])
+    return itertools.chain(head, groups), set(explicit), len(head) > 1, max([top, *span[-1:], *named])
 
 
-def _resolve_params(args, quantity: str) -> list[int | None]:
+def _resolve_params(args, quantity: str) -> range | list[None]:
     flag = QUANTITIES[quantity].param
     given = {"h": args.h, "s": args.s}
     if flag is None:

@@ -13,7 +13,8 @@ returning a wrong number; ranges that a theorem does not cover are refused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .errors import (
     InvalidDivisor,
@@ -29,8 +30,7 @@ from .groups import GroupType, _is_int, divisors, factorize, is_prime, smallest_
 KIND_TAGS = ("chi_h", "chi_interval", "chi_hat_h", "chi_hat_interval", "cr", "cr_star")
 
 
-@dataclass(frozen=True)
-class CriticalKind:
+class CriticalKind(namedtuple("CriticalKind", "tag param")):
     """Which critical number a query refers to.
 
     Sumset kinds carry a parameter (fold count or interval length); the
@@ -38,19 +38,24 @@ class CriticalKind:
     generating subsets; cr_star additionally excludes zero from the domain.
     """
 
-    tag: str
-    param: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.tag not in KIND_TAGS:
-            raise ValueError(f"unknown critical-number tag {self.tag!r}")
-        if self.tag in ("cr", "cr_star"):
-            if self.param is not None:
-                raise ValueError(f"{self.tag} takes no parameter")
-        elif self.tag in ("chi_h", "chi_hat_h"):
-            _check_h(self.param)
+    def __new__(cls, tag: str, param: int | None = None) -> CriticalKind:
+        if tag not in KIND_TAGS:
+            raise ValueError(f"unknown critical-number tag {tag!r}")
+        if tag in ("cr", "cr_star"):
+            if param is not None:
+                raise ValueError(f"{tag} takes no parameter")
+        elif tag in ("chi_h", "chi_hat_h"):
+            _check_h(param)
         else:
-            _check_s(self.param)
+            _check_s(param)
+        return tuple.__new__(cls, (tag, param))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> CriticalKind:
+        """Build through `__new__`, so that `_replace` validates too."""
+        return cls(*fields)
 
     @property
     def restricts_to_generating(self) -> bool:

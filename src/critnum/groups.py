@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import InvalidElement, InvalidFactor, InvalidOrder
 
@@ -89,18 +88,17 @@ def _invariant_factors(entries: Sequence[int]) -> tuple[int, ...]:
     return tuple(chain[::-1])
 
 
-@dataclass(frozen=True)
-class GroupType:
+class GroupType(namedtuple("GroupType", "factors")):
     """A finite abelian group, normalized to invariant-factor form.
 
     The constructor accepts any tuple of integers >= 2 and normalizes it, so
     GroupType((4, 2)) == GroupType((2, 4)).  The trivial group is excluded.
     """
 
-    factors: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        fs = tuple(self.factors)
+    def __new__(cls, factors: Sequence[int]) -> GroupType:
+        fs = tuple(factors)
         if not fs:
             raise InvalidFactor("a group needs at least one factor")
         for f in fs:
@@ -109,9 +107,14 @@ class GroupType:
         ok_chain = all(fs[i + 1] % fs[i] == 0 for i in range(len(fs) - 1))
         if not ok_chain:
             fs = _invariant_factors(fs)
-        object.__setattr__(self, "factors", fs)
+        return tuple.__new__(cls, (fs,))
 
-    @cached_property
+    @classmethod
+    def _make(cls, fields: Iterable) -> GroupType:
+        """Build through `__new__`, so that `_replace` validates too."""
+        return cls(*fields)
+
+    @property
     def order(self) -> int:
         return math.prod(self.factors)
 

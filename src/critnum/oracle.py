@@ -29,8 +29,8 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .errors import BudgetExceeded, InvalidOrder, InvalidWorkers
 from .formulas import CriticalKind
@@ -51,16 +51,14 @@ DEFAULT_QUERY_BUDGET = 20
 DEFAULT_SWEEP_BUDGET = 16
 
 
-@dataclass(frozen=True)
-class OracleQuery:
+class OracleQuery(namedtuple("OracleQuery", "group kind")):
     """A single brute-force question: one group, one critical quantity.
 
     The kind says whether only generating sets count and whether zero is
     left out of the domain.
     """
 
-    group: GroupType
-    kind: CriticalKind
+    __slots__ = ()
 
 
 def _check_budget(n: int, budget: int | None) -> None:

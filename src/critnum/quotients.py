@@ -11,22 +11,22 @@ then work down) always lands on a valid invariant-factor chain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import InvalidIndex, QuotientUnavailable, SpecMismatch
 from .groups import GroupType, _is_int
 from .sumsets import GroupSubset, Layout, layout_for, translate_bits
 
 
-@dataclass(frozen=True)
-class QuotientSpec:
-    """A concrete surjection from a parent group onto a quotient type."""
+class QuotientSpec(namedtuple("QuotientSpec", "parent divisor_vector quotient index")):
+    """A concrete surjection from a parent group onto a quotient type.
 
-    parent: GroupType
-    divisor_vector: tuple[int, ...]
-    quotient: GroupType
-    index: int
+    The quotient of `parent` by the divisor vector (e1, ..., er) has the
+    invariant factors `quotient` and the index d = prod(ei).
+    """
+
+    __slots__ = ()
 
 
 def quotient_spec(group: GroupType, d: int) -> QuotientSpec:

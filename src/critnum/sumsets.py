@@ -18,10 +18,9 @@ whole group once |kA| + |A| > n, because then g - A meets kA for every g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from math import gcd
-from typing import Iterable, Sequence
 
 from .errors import EmptySetError, InvalidElement, InvalidOrder, InvalidS, SpecMismatch
 from .formulas import _check_h
@@ -243,16 +242,20 @@ def subset_sums_bits(layout: Layout, bits: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class GroupSubset:
+class GroupSubset(namedtuple("GroupSubset", "group bits")):
     """An immutable subset of a fixed group, stored as a bitmask."""
 
-    group: GroupType
-    bits: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not _is_int(self.bits) or self.bits < 0 or self.bits >> self.group.order:
-            raise InvalidElement(f"bitmask {self.bits!r} does not fit order {self.group.order}")
+    def __new__(cls, group: GroupType, bits: int) -> GroupSubset:
+        if not _is_int(bits) or bits < 0 or bits >> group.order:
+            raise InvalidElement(f"bitmask {bits!r} does not fit order {group.order}")
+        return tuple.__new__(cls, (group, bits))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> GroupSubset:
+        """Build through `__new__`, so that `_replace` validates too."""
+        return cls(*fields)
 
     @classmethod
     def from_indices(cls, group: GroupType, indices: Iterable[int]) -> "GroupSubset":
@@ -276,7 +279,7 @@ class GroupSubset:
     def whole(cls, group: GroupType) -> "GroupSubset":
         return cls(group, (1 << group.order) - 1)
 
-    @cached_property
+    @property
     def size(self) -> int:
         return self.bits.bit_count()
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConditionViolated, ConstructionInvariantViolated
 from .formulas import _check_h, _check_s, _divisor_max
@@ -42,18 +42,12 @@ from .quotients import (
 from .sumsets import GroupSubset, Layout, hfold_bits, interval_bits, layout_for
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
-    """An extremal set together with recomputed check results."""
+class WitnessCertificate(
+    namedtuple("WitnessCertificate", "group mode param subset claimed_size generates incomplete branch")
+):
+    """An extremal set together with recomputed check results; mode is "hfold" or "interval"."""
 
-    group: GroupType
-    mode: str  # "hfold" or "interval"
-    param: int
-    subset: GroupSubset
-    claimed_size: int
-    generates: bool
-    incomplete: bool
-    branch: str
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -68,8 +62,9 @@ class WitnessCertificate:
         }
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(
+    namedtuple("BoundCertificate", "group s quotient_type c_vector bound witness generates incomplete")
+):
     """A lower-bound certificate: quotient pattern, bound, and witness.
 
     The trivial certificate (bound 1, no witness) is returned when no
@@ -77,14 +72,7 @@ class BoundCertificate:
     None in that case.
     """
 
-    group: GroupType
-    s: int
-    quotient_type: tuple[int, ...]
-    c_vector: tuple[int, ...]
-    bound: int
-    witness: GroupSubset | None
-    generates: bool | None
-    incomplete: bool | None
+    __slots__ = ()
 
     @property
     def is_trivial(self) -> bool:

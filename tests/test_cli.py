@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through main(argv)."""
 
 import json
+import tracemalloc
 
 from critnum import ConstructionInvariantViolated, GroupType, best_interval_bound, hfold_witness, parse_group
 from critnum import cli
@@ -221,7 +222,8 @@ def test_aborted_verify_claims_no_verdict(capsys, monkeypatch):
 
 def test_budget_refusal_builds_no_later_order(capsys, monkeypatch):
     # the sweep stops at the first group the budget refuses (order 17), so
-    # a far larger --max-order builds nothing past it and prints the same
+    # a far larger --max-order or --order range builds nothing past it and
+    # prints the same
     built = []
 
     def counted(n):
@@ -237,6 +239,15 @@ def test_budget_refusal_builds_no_later_order(capsys, monkeypatch):
     built.clear()
     assert run(capsys, *argv, "10000") == want
     assert max(built) == 17
+    # an order range stays a range, so its length costs no memory
+    built.clear()
+    tracemalloc.start()
+    try:
+        assert run(capsys, *argv[:-1], "--order", "2..2000000") == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(built) == 17 and peak < 5 * 2**20
 
 
 def test_env_budget_cap(capsys, monkeypatch):

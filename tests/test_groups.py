@@ -3,16 +3,23 @@
 import pytest
 
 from critnum import (
+    CriticalKind,
+    GroupSubset,
     GroupType,
     InvalidElement,
     InvalidFactor,
+    InvalidH,
     InvalidOrder,
+    OracleQuery,
     abelian_types,
+    best_interval_bound,
     cyclic,
     divisors,
     factorize,
+    hfold_witness,
     is_prime,
     parse_group,
+    quotient_spec,
     smallest_prime_factor,
 )
 from reference import add_indices, neg_index
@@ -179,3 +186,67 @@ def test_abelian_types_are_valid_chains():
             assert g.order == n
             fs = g.factors
             assert all(fs[i + 1] % fs[i] == 0 for i in range(len(fs) - 1))
+
+
+def _value_types():
+    g = GroupType((2, 4))
+    return [
+        g,
+        CriticalKind("chi_h", 2),
+        GroupSubset(g, 0b1011),
+        quotient_spec(g, 2),
+        OracleQuery(g, CriticalKind("cr")),
+        hfold_witness(g, 3),
+        best_interval_bound(GroupType((2, 2, 2, 2)), 2),
+    ]
+
+
+def test_value_types_read_hash_and_compare_by_their_fields():
+    assert repr(GroupType((4, 2))) == "GroupType(factors=(2, 4))"
+    assert repr(CriticalKind("chi_h", 2)) == "CriticalKind(tag='chi_h', param=2)"
+    assert repr(CriticalKind("cr")) == "CriticalKind(tag='cr', param=None)"
+    for x in _value_types():
+        fields = tuple(getattr(x, name) for name in x._fields)
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(x._fields, fields))
+        assert repr(x) == f"{type(x).__name__}({shown})"
+        assert hash(x) == hash(fields)
+        assert x == fields and tuple(x) == fields
+
+
+def test_value_types_refuse_every_assignment():
+    for x in _value_types():
+        for name in x._fields + ("order", "size", "unused_name"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 1)
+
+
+def test_value_types_normalize_and_validate_keywords():
+    assert GroupType(factors=(4, 2)) == GroupType((2, 4))
+    assert GroupType(factors=[2, 3]).factors == (6,)
+    assert GroupType(factors=(4, 2)).order == 8
+    with pytest.raises(InvalidFactor, match="is not an integer >= 2"):
+        GroupType(factors=(1, 4))
+    with pytest.raises(InvalidFactor, match="at least one factor"):
+        GroupType(factors=())
+    assert CriticalKind(tag="chi_h", param=2) == CriticalKind("chi_h", 2)
+    assert CriticalKind(tag="cr").param is None
+    with pytest.raises(ValueError, match="cr takes no parameter"):
+        CriticalKind(tag="cr", param=1)
+    with pytest.raises(ValueError, match="unknown critical-number tag"):
+        CriticalKind(tag="chi")
+    with pytest.raises(InvalidH):
+        CriticalKind(tag="chi_h", param=0)
+    g = GroupType((2, 4))
+    assert GroupSubset(group=g, bits=0b1011).size == 3
+    for bits in (1 << 8, -1, True, 1.0):
+        with pytest.raises(InvalidElement, match="does not fit order 8"):
+            GroupSubset(group=g, bits=bits)
+        with pytest.raises(InvalidElement, match="does not fit order 8"):
+            GroupSubset(g, 1)._replace(bits=bits)
+    # _replace and _make go through the same checks as the constructor
+    assert g._replace(factors=(4, 2)) == GroupType._make([(4, 2)]) == g
+    with pytest.raises(InvalidFactor):
+        g._replace(factors=(1,))
+    assert CriticalKind("chi_h", 2)._replace(tag="chi_hat_h") == CriticalKind("chi_hat_h", 2)
+    with pytest.raises(ValueError, match="cr takes no parameter"):
+        CriticalKind("chi_h", 2)._replace(tag="cr")

@@ -10,6 +10,8 @@ README's export table lists exactly the names in `critnum.__all__`.
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import critnum
@@ -101,3 +103,13 @@ def test_readme_export_table_matches_all():
     assert sorted(listed) == sorted(name for name, err in is_error.items() if not err)
     subclasses = re.search(r"`CritnumError` and its (\d+) subclasses", errors)
     assert subclasses and int(subclasses.group(1)) == sum(is_error.values()) - 1
+
+
+def test_import_loads_no_dataclasses_or_typing():
+    # without site nothing but critnum can have imported these modules
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import critnum, critnum.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'typing'} & set(sys.modules)))"
+    )
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"

@@ -63,6 +63,8 @@ class OracleQuery(namedtuple("OracleQuery", "group kind")):
 
 def _check_budget(n: int, budget: int | None) -> None:
     limit = DEFAULT_QUERY_BUDGET if budget is None else budget
+    if not _is_int(limit):
+        raise InvalidOrder(f"the oracle budget must be an integer order bound, got {budget!r}")
     if n > limit:
         raise BudgetExceeded(
             f"group order {n} exceeds the oracle budget {limit}; "
@@ -411,36 +413,34 @@ def brute_critical(query: OracleQuery, *, budget: int | None = None, workers: in
 def brute_max_sumfree(n: int, *, budget: int | None = None) -> int:
     """Maximum size of a subset of the cyclic group disjoint from its double.
 
-    Depth-first search over elements 1..n-1 in increasing order, keeping
-    the set and its pairwise-sum mask incrementally; branches are cut when
-    the remaining elements cannot beat the best size found so far.  The
-    search never consults the closed form.  It nests one call per element
-    of the group, so an order past the interpreter's recursion limit
-    (about 1,000) raises BudgetExceeded.
+    Depth-first search shaped as `search_critical_witness`: each node takes
+    its sum-free set's size as the best, then pops its lowest candidate into
+    a child while its size plus its candidates can beat the best.  It never
+    consults the closed form.  It nests one call per set element, so a set
+    past the recursion limit (about 1,000 elements) raises BudgetExceeded.
     """
     if not _is_int(n) or n < 2:
         raise InvalidOrder(f"sum-free search needs a cyclic order >= 2, got {n!r}")
     _check_budget(n, budget)
     layout = layout_for(GroupType((n,)))
+    kernel, least = layout.table(_preimages, 2)
     best = 0
 
-    def rec(e: int, amask: int, twoa: int, size: int) -> None:
+    def descend(bits: int, size: int, cand: int) -> None:
         nonlocal best
-        if size > best:
-            best = size
-        if e >= n or size + (n - e) <= best:
-            return
-        if not twoa >> e & 1:
-            shifted = translate_bits(layout, amask, e)
-            if not shifted & amask:
-                double = 2 * e % n
-                if not amask >> double & 1:
-                    rec(e + 1, amask | 1 << e, twoa | shifted | 1 << double, size + 1)
-        rec(e + 1, amask, twoa, size)
+        best = max(best, size)
+        while size + cand.bit_count() > best:
+            x = cand & -cand
+            cand ^= x
+            e, grown = x.bit_length() - 1, bits | x
+            # Pops go lowest first, so y lies above all of grown and y + a, a in bits,
+            # misses x and x + n: only x + grown, grown - x and the halves of x drop y.
+            drop = translate_bits(layout, grown, e) | translate_bits(layout, grown, n - e) | kernel << least[e]
+            descend(grown, size + 1, cand & ~drop)
 
     try:
-        rec(1, 0, 0, 0)
+        descend(0, 0, layout.full ^ 1)
     except RecursionError:
-        raise BudgetExceeded(f"the sum-free search on order {n} nests one call per element "
+        raise BudgetExceeded(f"the sum-free search on order {n} nests one call per set element "
                              f"and passed the recursion limit {sys.getrecursionlimit()}") from None
     return best

@@ -19,9 +19,12 @@ attribute.
 With --kind K [--param P] --seconds T it instead sweeps the frontier: it
 certifies every type of every order with `search_critical_witness`,
 upward from order 2, and prints per order the time, the `translate_bits`
-calls and the slowest type.  It stops once the cumulative time passes T
-(an interval timer ends the search under way) and prints F, the last
-order it finished.  pytest does not collect the script (no `test_`
+calls for the order and cumulatively (so two runs compare through any
+common order) and the slowest type.  It checks each value against every
+closed form that covers it (`closed_forms`), as acceptance tiers A12 and
+A15 do, and exits 1 on a mismatch.  It stops once the cumulative time
+passes T (an interval timer ends the search under way) and prints F, the
+last order it finished.  pytest does not collect the script (no `test_`
 prefix).  Run from the repository root:
 
     PYTHONPATH=src python tests/s3_frontier.py
@@ -43,7 +46,9 @@ from critnum import (
     critical_number,
     generating_interval_critical_s3,
     generating_interval_critical_two_group,
+    generating_interval_cyclic_divisors,
     search_critical_witness,
+    subset_sum_critical_pair,
 )
 
 # (factors, s) for each single-query row of the stall table
@@ -67,6 +72,24 @@ def expected(group: GroupType, s: int) -> int:
     if group.is_elementary_two:
         return generating_interval_critical_two_group(group.rank, s)
     return generating_interval_critical_s3(group)
+
+
+def closed_forms(group: GroupType, kind: CriticalKind) -> list[int]:
+    """The value of every closed form proven for this group and kind."""
+    n, tag, p = group.order, kind.tag, kind.param
+    if tag in ("chi_h", "chi_interval", "chi_hat_h"):
+        return [critical_number(n, p)]
+    if tag in ("cr_star", "cr"):
+        return [] if n < 10 else [subset_sum_critical_pair(group)[tag == "cr"]]
+    values = []
+    if group.is_elementary_two:
+        if p >= 2:
+            values.append(generating_interval_critical_two_group(group.rank, p))
+    elif p == 3 and n >= 5:
+        values.append(generating_interval_critical_s3(group))
+    if group.is_cyclic:
+        values.append(generating_interval_cyclic_divisors(n, p)[0])
+    return values
 
 
 # elementary abelian groups, whose anchors are 0 and one nonzero orbit
@@ -140,30 +163,37 @@ def frontier(tag: str, param: int | None, seconds: float) -> int:
     signal.signal(signal.SIGALRM, time_up)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     finished = 1
-    all_calls = 0
+    all_calls = mismatches = checked = 0
     start = time.perf_counter()
     print(f"frontier of {tag} (param {param}) within {seconds:g} s", flush=True)
     try:
         for n in itertools.count(2):
-            calls = 0
+            order_calls = calls
             order_start = time.perf_counter()
             slowest = (0.0, None)
             for group in abelian_types(n):
                 query_start = time.perf_counter()
-                search_critical_witness(OracleQuery(group, kind), budget=n)
+                got, _ = search_critical_witness(OracleQuery(group, kind), budget=n)
                 slowest = max(slowest, (time.perf_counter() - query_start, str(group)))
+                for want in closed_forms(group, kind):
+                    checked += 1
+                    if got != want:
+                        mismatches += 1
+                        print(f"MISMATCH {tag}({group}, {param}): search {got} vs formula {want}", flush=True)
             finished = n
-            all_calls += calls
+            all_calls = calls
             now = time.perf_counter()
             print(f"order {n:>4}  {now - order_start:8.3f} s  cumulative {now - start:8.3f} s  "
-                  f"{calls:>12,} translations  slowest {slowest[1]} ({slowest[0]:.3f} s)", flush=True)
+                  f"{calls - order_calls:>12,} translations  cumulative {calls:>14,}  "
+                  f"slowest {slowest[1]} ({slowest[0]:.3f} s)", flush=True)
     except TimeUp:
         pass
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         critnum.oracle.translate_bits = translate
-    print(f"F({tag}, {param}, {seconds:g} s) = {finished}: {all_calls:,} translations through order {finished}")
-    return 0
+    print(f"F({tag}, {param}, {seconds:g} s) = {finished}: {all_calls:,} translations through order {finished}, "
+          f"{checked} closed-form checks, {mismatches} mismatches")
+    return 1 if mismatches else 0
 
 
 def main() -> int:

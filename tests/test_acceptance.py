@@ -179,12 +179,12 @@ def test_a08_sumfree_bound():
     for n in range(2, 10001):
         if max_sumfree_size(n) != max_incomplete_size(n, 3):
             failures.append(f"n={n}: sum-free bound != 3-fold divisor bound")
-    for n in range(2, 19):
-        got = brute_max_sumfree(n)
+    for n in range(2, 49):
+        got = brute_max_sumfree(n, budget=n)
         want = max_sumfree_size(n)
         if got != want:
             failures.append(f"n={n}: search {got} vs formula {want}")
-    _finish("A8", "sum-free maximum: identity to 10^4, search to 18", failures)
+    _finish("A8", "sum-free maximum: identity to 10^4, search to 48", failures)
 
 
 def test_a09_bound_certificates_are_sound():

@@ -716,6 +716,17 @@ def test_brute_sumfree():
         brute_max_sumfree(25)
 
 
+@pytest.mark.parametrize("budget", [True, 6.5, "20"])
+def test_budget_must_be_an_integer(budget):
+    # a bool, a float or a string is refused by name, not compared with the order
+    q = OracleQuery(cyclic(6), CriticalKind("chi_h", 2))
+    for ask in (brute_critical, brute_critical_witness, search_critical_witness):
+        with pytest.raises(InvalidOrder, match="budget"):
+            ask(q, budget=budget)
+    with pytest.raises(InvalidOrder, match="budget"):
+        brute_max_sumfree(6, budget=budget)
+
+
 def _depth() -> int:
     frame, depth = sys._getframe(), 0
     while frame:
@@ -725,12 +736,13 @@ def _depth() -> int:
 
 def test_recursion_limit_is_refused_by_name():
     # Both searches nest one call per element of their set.  With the limit
-    # 40 frames above the caller, sets of about 40 elements pass it: each
-    # search must refuse the query with BudgetExceeded, not a bare
-    # RecursionError, and work again once the limit is back.
+    # 20 frames above the caller, sets of about 20 elements pass it (chi_h
+    # on Z128 nests 64 deep, a sum-free set of Z60 30 deep): each search must
+    # refuse the query with BudgetExceeded, not a bare RecursionError, and
+    # work again once the limit is back.
     chi = OracleQuery(cyclic(128), CriticalKind("chi_h", 2))
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_depth() + 40)
+    sys.setrecursionlimit(_depth() + 20)
     try:
         with pytest.raises(BudgetExceeded, match="recursion limit"):
             search_critical_witness(chi, budget=128)

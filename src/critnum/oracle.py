@@ -6,15 +6,16 @@ expansion misses some element g.  `search_critical_witness` fixes g and
 runs a depth-first search over the candidate elements, in which the root
 is a node like any other; `brute_critical` returns its value.  For every
 kind but `chi_hat_h` and `cr_star` it searches only sets holding 0.
-Every node takes its own set as the best when it qualifies.  Besides the
-size cut, the search cuts a branch by a greedy matching in the graph of
-candidate pairs that cannot join together, from which each pop drops
-only its own pair, and, for the generating kinds, when all it can still
-reach lies in one maximal subgroup; it tests generation against one mask
-per maximal subgroup (by closure for groups with more than
-`_MAX_MASKS`), and branches first on a candidate outside the masks that
-still contain the set, so that the generation cut fires early.
-The search shares no logic with the closed forms.
+Every node takes its own set as the best when it qualifies, and makes
+two choices once each.  For the generating kinds, which test generation
+against one mask per maximal subgroup (by closure for groups with more
+than `_MAX_MASKS`), it picks on entry the mask holding its set that
+leaves the fewest candidates outside and branches only outside it, so it
+ends when all it can still reach lies in that subgroup.  It runs a
+greedy matching in the graph of candidate pairs that cannot join
+together at most once, and each later pop drops only its own pair; the
+matching and the size cut end a node that cannot beat the best.  The
+search shares no logic with the closed forms.
 
 `brute_critical_witness` is the definition-literal scan and the ground
 truth the search is tested against.  It enumerates subset sizes in
@@ -33,7 +34,6 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from .errors import BudgetExceeded, InvalidOrder, InvalidWorkers
-from .formulas import CriticalKind
 from .groups import GroupType, _is_int, factorize
 from .quotients import closure_bits
 from .sumsets import (
@@ -191,7 +191,7 @@ def _anchor_representatives(factors: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x for x in range(len(root)) if find(x) == x)
 
 
-def _expansion(layout, kind: CriticalKind, bits: int) -> int:
+def _expansion(layout, kind, bits: int) -> int:
     """Mask of the expansion a kind measures: hA, [0,s]A or Sum(A)."""
     if kind.mode == "hfold":
         return hfold_bits(layout, bits, kind.param)
@@ -277,25 +277,27 @@ def search_critical_witness(
     preimages {y : j*y = m}, a shifted kernel (`_preimages`).  For subset
     sums the single layer is D = g - Sum(A) with D' = D | (D - x).
 
-    A node branches on its lowest candidate, except that for the generating
-    kinds it takes, among the masks that still contain its set, the one
-    leaving the fewest candidates outside, and branches on the lowest of
-    those unless the lowest candidate is one.  The popped element joins the
-    child and leaves the rest of the loop, so every order is exhaustive.
+    A node picks on entry `inside`: among the masks that still contain its
+    set (generating kinds), the one leaving the fewest candidates outside,
+    or no mask (0).  It pops the lowest candidate outside `inside` until
+    none is left.  A pop shrinks the outside of `inside` by exactly one and
+    that of every other mask by at most one, so `inside` stays a mask with
+    the fewest outside.  When none is left, the set and all its candidates
+    lie in one maximal subgroup, and the generation cut ends the node.  The
+    popped element joins the child and leaves the rest of the loop, so every
+    order is exhaustive.
 
     Every node, the root included, takes its own set as the best on entry
     when it is larger than the best found for any anchor so far and, for
-    the generating kinds, generates.  Three cuts end a branch whose sets
-    cannot beat that best:
+    the generating kinds, generates.  Before each pop, two cuts end a node
+    whose sets cannot beat that best:
     - size: its size plus its candidates;
     - matching: two candidates y, z cannot both join when y + z lies in
       D[param - 2] (the layer D for subset sums), so the sets grow by an
       independent set of that conflict graph and a matching M of it bounds
-      them by size + |cand| - |M|.  A node runs `_greedy_matching` when
-      |cand| // 2 pairs would be enough and best has grown since its last
-      run; in between, each pop drops only its own pair, if it has one;
-    - generation (generating kinds only): the set and all its candidates
-      lie in one maximal subgroup.
+      them by size + |cand| - |M|.  A node runs `_greedy_matching` once,
+      the first time |cand| // 2 pairs would be enough; after that each pop
+      drops only its own pair, if it has one.
     Each node keeps the masks of `_maximal_subgroups` that contain its set,
     so a set generates when none is left; past `_MAX_MASKS` masks there is
     no generation cut or generation-first branch, and a would-be new best
@@ -347,27 +349,22 @@ def search_critical_witness(
                 z = fresh & -fresh
                 fresh ^= z
                 cand &= ~(kernel << least[z.bit_length() - 1])
-        # a matching in cand's conflict graph, computed when best was
-        # paired_at; popping a matched candidate takes its pair out
-        mate, paired_at = {}, None
-        while cand:
+        # branch outside the mask that leaves the fewest candidates outside;
+        # each pop keeps it the fewest, and none left means bits | cand lies inside it
+        inside = min(around, key=lambda m: (cand & ~m).bit_count()) if around else 0
+        # a matching in cand's conflict graph, run at most once; popping a
+        # matched candidate takes its pair out
+        mate, unpaired = {}, conflict_level is not None
+        while outside := cand & ~inside:
             count = cand.bit_count()
             if size + count - len(mate) // 2 <= best:
                 return
-            x = cand & -cand
-            if around:
-                # branch outside the mask that leaves the fewest candidates
-                # outside; none left means bits | cand lies inside it
-                outside = min((cand & ~m for m in around), key=int.bit_count)
-                if not outside:
-                    return
-                if not x & outside:
-                    x = outside & -outside
             need = size + count - best
-            if conflict_level is not None and paired_at != best and count // 2 >= need:
-                mate, paired_at = _greedy_matching(layout, neg, layers[conflict_level], cand, need), best
+            if unpaired and count // 2 >= need:
+                mate, unpaired = _greedy_matching(layout, neg, layers[conflict_level], cand, need), False
                 if len(mate) // 2 >= need:
                     return
+            x = outside & -outside
             cand ^= x
             if x in mate:
                 del mate[mate.pop(x)]

@@ -10,22 +10,23 @@ same function, wrapped as a module attribute) and total time.  Then runs
 ROADMAP's stall table and on every non-exponent-2 type of order 48 at
 s = 3 (the orders past acceptance tier A14).  Each value is checked
 against its closed form: the exponent-2 rank formula for Z2^r, the s = 3
-structure formula otherwise.  Prints value, time and the `translate_bits`
-calls the search makes through `critnum.oracle` per query and in total,
-and exits 1 on any mismatch.  The call count is a deterministic measure
-of the search's work; the script counts it by wrapping that module
-attribute.
+structure formula otherwise.  Prints value, time, the `translate_bits`
+calls the search makes through `critnum.oracle` and its `_greedy_matching`
+runs, per query and in total, and exits 1 on any mismatch.  Both counts
+are deterministic measures of the search's work (the matching's own
+translations are among the calls); the script counts them by wrapping
+those module attributes (`Work`).
 
 With --kind K [--param P] --seconds T it instead sweeps the frontier: it
 certifies every type of every order with `search_critical_witness`,
 upward from order 2, and prints per order the time, the `translate_bits`
-calls for the order and cumulatively (so two runs compare through any
-common order) and the slowest type.  It checks each value against every
-closed form that covers it (`closed_forms`), as acceptance tiers A12 and
-A15 do, and exits 1 on a mismatch.  It stops once the cumulative time
-passes T (an interval timer ends the search under way) and prints F, the
-last order it finished.  pytest does not collect the script (no `test_`
-prefix).  Run from the repository root:
+calls and the matching runs for the order and cumulatively (so two runs
+compare through any common order) and the slowest type.  It checks each
+value against every closed form that covers it (`closed_forms`), as
+acceptance tiers A12 and A15 do, and exits 1 on a mismatch.  It stops
+once the cumulative time passes T (an interval timer ends the search
+under way) and prints F, the last order it finished.  pytest does not
+collect the script (no `test_` prefix).  Run from the repository root:
 
     PYTHONPATH=src python tests/s3_frontier.py
     PYTHONPATH=src python tests/s3_frontier.py --kind chi_h --param 3 --seconds 60
@@ -141,6 +142,31 @@ def scale_rows() -> int:
     return mismatches
 
 
+class Work:
+    """While active, counts the search's `translate_bits` calls and
+    `_greedy_matching` runs by wrapping those `critnum.oracle` attributes."""
+
+    def __init__(self):
+        self.translations = self.matchings = 0
+
+    def __enter__(self):
+        self.saved = translate, match = critnum.oracle.translate_bits, critnum.oracle._greedy_matching
+
+        def counted_translate(*args):
+            self.translations += 1
+            return translate(*args)
+
+        def counted_match(*args):
+            self.matchings += 1
+            return match(*args)
+
+        critnum.oracle.translate_bits, critnum.oracle._greedy_matching = counted_translate, counted_match
+        return self
+
+    def __exit__(self, *exc):
+        critnum.oracle.translate_bits, critnum.oracle._greedy_matching = self.saved
+
+
 class TimeUp(Exception):
     """Raised by the interval timer when the sweep's time runs out."""
 
@@ -148,51 +174,44 @@ class TimeUp(Exception):
 def frontier(tag: str, param: int | None, seconds: float) -> int:
     """Sweep every type of every order upward until `seconds` pass; prints F."""
     kind = CriticalKind(tag, param)
-    translate = critnum.oracle.translate_bits
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return translate(*args)
 
     def time_up(signum, frame):
         raise TimeUp
 
-    critnum.oracle.translate_bits = counted
     signal.signal(signal.SIGALRM, time_up)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     finished = 1
-    all_calls = mismatches = checked = 0
+    done = (0, 0)  # translations and matchings through the last finished order
+    mismatches = checked = 0
     start = time.perf_counter()
     print(f"frontier of {tag} (param {param}) within {seconds:g} s", flush=True)
     try:
-        for n in itertools.count(2):
-            order_calls = calls
-            order_start = time.perf_counter()
-            slowest = (0.0, None)
-            for group in abelian_types(n):
-                query_start = time.perf_counter()
-                got, _ = search_critical_witness(OracleQuery(group, kind), budget=n)
-                slowest = max(slowest, (time.perf_counter() - query_start, str(group)))
-                for want in closed_forms(group, kind):
-                    checked += 1
-                    if got != want:
-                        mismatches += 1
-                        print(f"MISMATCH {tag}({group}, {param}): search {got} vs formula {want}", flush=True)
-            finished = n
-            all_calls = calls
-            now = time.perf_counter()
-            print(f"order {n:>4}  {now - order_start:8.3f} s  cumulative {now - start:8.3f} s  "
-                  f"{calls - order_calls:>12,} translations  cumulative {calls:>14,}  "
-                  f"slowest {slowest[1]} ({slowest[0]:.3f} s)", flush=True)
+        with Work() as work:
+            for n in itertools.count(2):
+                order_start = time.perf_counter()
+                slowest = (0.0, None)
+                for group in abelian_types(n):
+                    query_start = time.perf_counter()
+                    got, _ = search_critical_witness(OracleQuery(group, kind), budget=n)
+                    slowest = max(slowest, (time.perf_counter() - query_start, str(group)))
+                    for want in closed_forms(group, kind):
+                        checked += 1
+                        if got != want:
+                            mismatches += 1
+                            print(f"MISMATCH {tag}({group}, {param}): search {got} vs formula {want}", flush=True)
+                finished = n
+                now = time.perf_counter()
+                print(f"order {n:>4}  {now - order_start:8.3f} s  cumulative {now - start:8.3f} s  "
+                      f"{work.translations - done[0]:>12,} translations  cumulative {work.translations:>14,}  "
+                      f"{work.matchings - done[1]:>10,} matchings  cumulative {work.matchings:>12,}  "
+                      f"slowest {slowest[1]} ({slowest[0]:.3f} s)", flush=True)
+                done = (work.translations, work.matchings)
     except TimeUp:
         pass
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
-        critnum.oracle.translate_bits = translate
-    print(f"F({tag}, {param}, {seconds:g} s) = {finished}: {all_calls:,} translations through order {finished}, "
-          f"{checked} closed-form checks, {mismatches} mismatches")
+    print(f"F({tag}, {param}, {seconds:g} s) = {finished}: {done[0]:,} translations and {done[1]:,} matchings "
+          f"through order {finished}, {checked} closed-form checks, {mismatches} mismatches")
     return 1 if mismatches else 0
 
 
@@ -207,30 +226,23 @@ def main() -> int:
     scale_mismatches = anchor_rows() + scale_rows()
     rows = [(GroupType(factors), s) for factors, s in STALL_ROWS]
     rows += [(g, 3) for g in abelian_types(48) if not g.is_elementary_two and (g, 3) not in rows]
-    translate = critnum.oracle.translate_bits
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return translate(*args)
-
-    critnum.oracle.translate_bits = counted
-    mismatches = all_calls = 0
+    mismatches = 0
     total = time.perf_counter()
-    for group, s in rows:
-        calls = 0
-        start = time.perf_counter()
-        got, _ = search_critical_witness(OracleQuery(group, CriticalKind("chi_hat_interval", s)), budget=group.order)
-        elapsed = time.perf_counter() - start
-        all_calls += calls
-        want = expected(group, s)
-        mismatches += got != want
-        verdict = "ok" if got == want else "MISMATCH"
-        print(f"{str(group):<16} s={s}  search {got:>3}  formula {want:>3}  {elapsed:7.2f} s  "
-              f"{calls:>9,} translations  {verdict}", flush=True)
+    with Work() as work:
+        for group, s in rows:
+            before = (work.translations, work.matchings)
+            start = time.perf_counter()
+            query = OracleQuery(group, CriticalKind("chi_hat_interval", s))
+            got, _ = search_critical_witness(query, budget=group.order)
+            elapsed = time.perf_counter() - start
+            want = expected(group, s)
+            mismatches += got != want
+            verdict = "ok" if got == want else "MISMATCH"
+            print(f"{str(group):<16} s={s}  search {got:>3}  formula {want:>3}  {elapsed:7.2f} s  "
+                  f"{work.translations - before[0]:>9,} translations  {work.matchings - before[1]:>8,} matchings  "
+                  f"{verdict}", flush=True)
     print(f"{len(rows)} queries, {mismatches} mismatches, {time.perf_counter() - total:.1f} s, "
-          f"{all_calls:,} translations")
+          f"{work.translations:,} translations, {work.matchings:,} matchings")
     return 1 if mismatches or scale_mismatches else 0
 
 

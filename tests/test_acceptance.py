@@ -4,7 +4,9 @@ A1-A10 hold at orders the literal scan also covers (tests/test_oracle.py
 checks the search against the scan on those grids); A12 checks the search
 alone against the closed forms at orders 17-24.  A13 builds and verifies
 certificates at Z65536, where per-shift masks for the top coordinate
-would need about 1 GiB.
+would need about 1 GiB.  A19 checks the search against its own quotient
+lifts and order relations to order 40, where no closed form covers every
+kind.
 
 Each criterion prints and records exactly one PASS/FAIL line (echoed in the
 terminal summary by conftest).  Exact equality throughout; no tolerances.
@@ -31,6 +33,7 @@ from critnum import (
     brute_max_sumfree,
     critical_number,
     cyclic,
+    divisors,
     generating_interval_critical_s3,
     generating_interval_critical_two_group,
     generating_interval_cyclic_divisors,
@@ -40,10 +43,13 @@ from critnum import (
     interval_sumset,
     is_complete,
     is_generating,
+    lift_preimage,
     max_incomplete_size,
     max_sumfree_size,
     pairwise_sumset,
+    quotient_type_feasible,
     search_critical_witness,
+    spec_for_quotient_type,
     subset_sum_critical_pair,
 )
 
@@ -415,3 +421,68 @@ def test_a15_search_at_h_s_2_to_order_48():
     elapsed = time.monotonic() - start
     scope = "search vs critical_number and subset_sum_critical_pair at orders 25-48"
     _finish("A15", f"{scope} on {cases} cases in {elapsed:.2f}s", failures)
+
+
+def test_a19_search_consistent_across_quotients_to_order_40():
+    """The search checked against itself on every type of order <= 40.
+
+    This checks one derivation for consistency; it is not a second one.
+    Past order 16 the search is the only exhaustive derivation, and its
+    witness passes the fail-closed check, so an unsound cut can only make
+    it report too low a value.  Two facts of the definitions catch that:
+    - quotient lift: the full preimage of a set A of a quotient Q is
+      incomplete when A is (h*pi^-1(A) = pi^-1(hA) and [0,s]pi^-1(A) lies
+      in pi^-1([0,s]A)), and generates when A does (the subgroup it
+      generates holds the kernel and maps onto Q).  So each proper quotient
+      type's search witness, lifted with `lift_preimage`, must qualify by
+      the public sumset functions and must not outgrow v(G) - 1;
+    - order relations: generating values never exceed unrestricted ones,
+      chi(G, [0,s]) <= chi(G, s), and the interval kinds are non-increasing
+      in s.
+    Each (group, kind, param) is searched once.  No closed form and no
+    certificate builder is used.
+    """
+    start = time.monotonic()
+    tags = ("chi_h", "chi_hat_h", "chi_interval", "chi_hat_interval")
+    params = range(2, 6)
+    groups = [g for n in range(2, 41) for g in abelian_types(n)]
+    found = {
+        (g, tag, p): search_critical_witness(OracleQuery(g, CriticalKind(tag, p)), budget=g.order)
+        for g in groups for tag in tags for p in params
+    }
+    quotients = {
+        g: [q for d in divisors(g.order)[1:-1] for q in abelian_types(d) if quotient_type_feasible(g, q.factors)]
+        for g in groups
+    }
+    failures = []
+    lifts = 0
+    for (g, tag, p), (value, _) in found.items():
+        expand = hfold_sumset if tag.endswith("_h") else interval_sumset
+        for q in quotients[g]:
+            witness = found[q, tag, p][1]
+            if witness is None:
+                continue
+            lifted = lift_preimage(spec_for_quotient_type(g, q.factors), witness)
+            lifts += 1
+            if is_complete(expand(lifted, p)):
+                failures.append(f"{tag}({g}, {p}): lift of {q}'s witness is complete")
+            elif tag.startswith("chi_hat") and not is_generating(lifted):
+                failures.append(f"{tag}({g}, {p}): lift of {q}'s witness does not generate")
+            elif value - 1 < lifted.size:
+                failures.append(f"{tag}({g}, {p}): search {value} below {q}'s lift of size {lifted.size}")
+    relations = 0
+    for g in groups:
+        for p in params:
+            pairs = [(low, p, high, p) for low, high in
+                     (("chi_hat_h", "chi_h"), ("chi_hat_interval", "chi_interval"), ("chi_interval", "chi_h"))]
+            if p > params[0]:
+                pairs += [(tag, p, tag, p - 1) for tag in ("chi_interval", "chi_hat_interval")]
+            for low, lp, high, hp in pairs:
+                relations += 1
+                if found[g, low, lp][0] > found[g, high, hp][0]:
+                    failures.append(f"{g}: {low}({lp}) = {found[g, low, lp][0]} exceeds "
+                                    f"{high}({hp}) = {found[g, high, hp][0]}")
+    elapsed = time.monotonic() - start
+    scope = (f"search vs its own quotient lifts and order relations on {len(found)} values "
+             f"of {len(groups)} types of order <= 40, h, s = 2..5: {lifts} lifts, {relations} relations")
+    _finish("A19", f"{scope} in {elapsed:.1f}s", failures)

@@ -113,3 +113,11 @@ def test_import_loads_no_dataclasses_or_typing():
     )
     run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
+
+
+def test_oracle_imports_no_closed_form():
+    # the search shares no logic with the closed forms it is checked against
+    tree = ast.parse((ROOT / "src" / "critnum" / "oracle.py").read_text())
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert not {"formulas", "critnum.formulas"} & modules, sorted(m for m in modules if m)

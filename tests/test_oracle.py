@@ -607,9 +607,9 @@ def test_matching_bound_is_sound():
 
 
 def test_matching_bound_survives_pops():
-    # The search keeps its matching between runs, and each pop, from the
-    # lowest candidate up or generation-first out of order, drops only the
-    # popped candidate's pair.  After every pop, in index order and in
+    # The search runs its matching at most once per node, and each pop,
+    # from the lowest candidate up or generation-first out of order, drops
+    # only the popped candidate's pair.  After every pop, in index order and in
     # random order, the pairs left must still lie in what is left and bound
     # the largest extension of A inside it, for every need the matching may
     # have stopped at.  Keeping a popped candidate's pair while its partner
@@ -661,6 +661,37 @@ def test_matching_bound_survives_pops():
                     stale_breaks += kept > slack(rest)
         states += 1
     assert paired > 100 and stale_breaks > 50, (paired, stale_breaks)
+
+
+def test_matching_runs_at_most_once_per_node(monkeypatch):
+    # A node runs the matching the first time half its candidates could
+    # give the pairs it needs, and from then on only drops pairs as it
+    # pops.  Every type of order <= 28, the four parametrized kinds at
+    # 1..4 and cr/cr_star: no search frame may run it twice.
+    match = oracle._greedy_matching
+    frames = {}  # kept alive until the query ends, so no id is reused
+    repeats = []
+
+    def once(*args):
+        frame = sys._getframe(1)
+        assert frame.f_code.co_name == "descend"
+        if frames.get(id(frame)) is frame:
+            repeats.append(f"{q.group} {q.kind}")
+        frames[id(frame)] = frame
+        return match(*args)
+
+    monkeypatch.setattr(oracle, "_greedy_matching", once)
+    tags = ("chi_h", "chi_interval", "chi_hat_h", "chi_hat_interval")
+    kinds = [CriticalKind(tag, p) for tag in tags for p in range(1, 5)] + [CriticalKind("cr"), CriticalKind("cr_star")]
+    runs = 0
+    for n in range(2, 29):
+        for g in abelian_types(n):
+            for kind in kinds:
+                q = OracleQuery(g, kind)
+                search_critical_witness(q, budget=n)
+                runs += len(frames)
+                frames.clear()
+    assert runs > 10_000 and repeats == [], repeats[:5]
 
 
 def test_brute_critical_returns_search_value():
